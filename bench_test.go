@@ -393,40 +393,15 @@ func BenchmarkContactTracing(b *testing.B) {
 	}
 }
 
-// --- Storage ---------------------------------------------------------------
-
-// BenchmarkWALAppend measures log append throughput without fsync (the
-// engine's in-memory critical path) at two payload sizes.
-func BenchmarkWALAppend(b *testing.B) {
-	for _, size := range []int{64, 1024} {
-		b.Run(fmt.Sprintf("payload=%dB", size), func(b *testing.B) {
-			w, err := storage.OpenWAL(filepath.Join(b.TempDir(), "wal"), 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer w.Close()
-			payload, _ := json.Marshal(map[string]string{"data": string(make([]byte, size))})
-			rec := storage.Record{Type: "bench", Data: payload}
-			b.SetBytes(int64(len(payload)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := w.Append(rec); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- Group commit ---------------------------------------------------------
 
-// BenchmarkWALGroupCommit compares durable append strategies (syncEvery=1
-// throughout, so every op is durably acknowledged). ns/op is per record
-// in all variants:
+// BenchmarkWALGroupCommit compares durable append strategies (every
+// Append fsyncs, so every op is durably acknowledged). ns/op is per
+// record in all variants:
 //
-//   - per-append-fsync: the pre-group-commit write path — every record
-//     pays its own fsync;
-//   - append-group-64: 64 records per AppendGroup — one fsync per 64;
+//   - per-append-fsync: one-record groups — every record pays its own
+//     fsync;
+//   - append-group-64: 64 records per Append — one fsync per 64;
 //   - committer-parallel: concurrent producers Commit single records
 //     through the async committer and wait on the barrier — batching
 //     emerges from arrivals during the in-flight fsync.
@@ -435,7 +410,7 @@ func BenchmarkWALGroupCommit(b *testing.B) {
 	record := storage.Record{Type: "bench", Data: payload}
 
 	b.Run("per-append-fsync", func(b *testing.B) {
-		w, err := storage.OpenWAL(filepath.Join(b.TempDir(), "wal"), 1)
+		w, err := storage.OpenWAL(filepath.Join(b.TempDir(), "wal"))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -449,7 +424,7 @@ func BenchmarkWALGroupCommit(b *testing.B) {
 	})
 
 	b.Run("append-group-64", func(b *testing.B) {
-		w, err := storage.OpenWAL(filepath.Join(b.TempDir(), "wal"), 1)
+		w, err := storage.OpenWAL(filepath.Join(b.TempDir(), "wal"))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -460,14 +435,14 @@ func BenchmarkWALGroupCommit(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i += len(group) {
-			if err := w.AppendGroup(group); err != nil {
+			if err := w.Append(group...); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 
 	b.Run("committer-parallel", func(b *testing.B) {
-		w, err := storage.OpenWAL(filepath.Join(b.TempDir(), "wal"), 1)
+		w, err := storage.OpenWAL(filepath.Join(b.TempDir(), "wal"))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -122,7 +122,6 @@ func main() {
 	data := flag.String("data", "", "data directory (enables durability)")
 	graphPath := flag.String("graph", "", "location graph JSON (default: the paper's NTU campus)")
 	boundsPath := flag.String("bounds", "", "room boundary JSON (enables /v1/observe/batch)")
-	syncEvery := flag.Int("sync", 1, "fsync every N mutations")
 	replicaOf := flag.String("replica-of", "", "primary base URL(s), comma-separated (e.g. http://a:8525,http://b:8525): boot as a read-only replica that follows the highest-term live primary (the upstream may itself be a -relay follower)")
 	followLagMax := flag.Duration("follow-lag-max", 0, "replica read barrier: 503 queries when replication staleness exceeds this (0 = serve regardless)")
 	captureTimeout := flag.Duration("capture-timeout", 0, "bound on bootstrap-state capture and status refresh (0 = 500ms default)")
@@ -173,7 +172,6 @@ func main() {
 		Graph:      g,
 		Boundaries: bounds,
 		DataDir:    *data,
-		SyncEvery:  *syncEvery,
 		AutoDerive: true,
 	})
 	if sysErr != nil {

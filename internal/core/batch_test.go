@@ -289,13 +289,12 @@ func TestGroupCommitCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestObserveBatchSyncFallback: with the committer disabled, the batched
-// path appends synchronously (one AppendGroup per batch) and recovery
-// still works.
+// TestObserveBatchSyncFallback: a batch committed through the group
+// committer is recovered by a reopen.
 func TestObserveBatchSyncFallback(t *testing.T) {
 	g, rooms, bounds, centers := gridSite(t, 2)
 	dir := t.TempDir()
-	sys, err := Open(Config{Graph: g, Boundaries: bounds, DataDir: dir, DisableGroupCommit: true})
+	sys, err := Open(Config{Graph: g, Boundaries: bounds, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,73 +305,15 @@ func TestObserveBatchSyncFallback(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if st := sys.CommitStats(); st.Batches != 0 {
-		t.Errorf("committer disabled but stats = %+v", st)
-	}
 	_ = sys.Close()
 
-	rec, err := Open(Config{Graph: g, Boundaries: bounds, DataDir: dir, DisableGroupCommit: true})
+	rec, err := Open(Config{Graph: g, Boundaries: bounds, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rec.Close()
 	if loc, inside := rec.WhereIs("a"); !inside || loc != rooms[1] {
 		t.Errorf("a at %v/%v, want %v", loc, inside, rooms[1])
-	}
-}
-
-// TestRelaxedSyncSkipsCommitter: SyncEvery > 1 opted out of durable
-// acks, so group commit (which fsyncs every batch) must stay off and
-// the old one-fsync-per-N inline semantics apply.
-func TestRelaxedSyncSkipsCommitter(t *testing.T) {
-	g, rooms, bounds, centers := gridSite(t, 2)
-	dir := t.TempDir()
-	sys, err := Open(Config{Graph: g, Boundaries: bounds, DataDir: dir, SyncEvery: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullGrant(t, sys, "a", rooms)
-	if _, err := sys.ObserveBatch([]Reading{{Time: 2, Subject: "a", At: centers[0]}}); err != nil {
-		t.Fatal(err)
-	}
-	if st := sys.CommitStats(); st.Batches != 0 || st.Records != 0 {
-		t.Errorf("SyncEvery=100 must not engage the committer: %+v", st)
-	}
-	_ = sys.Close() // Close flushes, so the records survive
-	rec, err := Open(Config{Graph: g, Boundaries: bounds, DataDir: dir, SyncEvery: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	if loc, inside := rec.WhereIs("a"); !inside || loc != rooms[0] {
-		t.Errorf("a at %v/%v, want %v", loc, inside, rooms[0])
-	}
-}
-
-// TestSnapshotWithMaxDelayIsPrompt: Snapshot flushes the committer while
-// holding the write lock; the flush must force an immediate commit, not
-// wait out a configured linger window (during which no straggler could
-// arrive anyway — the write lock blocks every producer). The single
-// setup mutation is an ungranted entry, which is still recorded, so the
-// test pays the linger only once.
-func TestSnapshotWithMaxDelayIsPrompt(t *testing.T) {
-	g, _, bounds, centers := gridSite(t, 2)
-	const linger = 800 * time.Millisecond
-	sys, err := Open(Config{Graph: g, Boundaries: bounds, DataDir: t.TempDir(),
-		CommitMaxDelay: linger})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	if _, err := sys.ObserveBatch([]Reading{{Time: 2, Subject: "a", At: centers[0]}}); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if err := sys.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > linger/2 {
-		t.Fatalf("Snapshot stalled %v behind CommitMaxDelay %v", elapsed, linger)
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/audit"
 	"repro/internal/authz"
@@ -44,44 +43,26 @@ type Config struct {
 	// boundary.
 	Boundaries []geometry.Boundary
 	// DataDir enables durability when non-empty: a WAL and snapshots
-	// are kept there and recovered from on Open.
+	// are kept there and recovered from on Open. Mutations enqueue their
+	// records onto the asynchronous group committer and wait for a shared
+	// fsync barrier after releasing the write lock — concurrent mutations
+	// share one fsync, and readers are never blocked behind disk.
 	DataDir string
-	// SyncEvery is the WAL fsync cadence (1 = every mutation; 0 uses 1).
-	// Group commit engages only at SyncEvery=1 (its acks are durable by
-	// contract, so every batch fsyncs); a relaxed cadence keeps inline
-	// appends with one fsync per N records.
-	SyncEvery int
 	// AlertLimit bounds the in-memory alert log (0 = default).
 	AlertLimit int
 	// AutoDerive re-runs all rules after profile changes (Example 1's
 	// automatic re-derivation). Defaults to true via Open.
 	AutoDerive bool
-	// DisableGroupCommit forces WAL appends back onto the caller's
-	// goroutine (the pre-group-commit semantics: the mutation holds the
-	// write lock across its fsync). By default, when DataDir is set,
-	// mutations enqueue their records onto an asynchronous group
-	// committer and wait for a shared fsync barrier after releasing the
-	// write lock — concurrent mutations share one fsync, and readers are
-	// never blocked behind disk.
-	DisableGroupCommit bool
-	// CommitMaxBatch caps the records one group-commit fsync may cover
-	// (0 = storage.DefaultMaxBatch).
-	CommitMaxBatch int
-	// CommitMaxDelay makes the committer linger for stragglers before
-	// fsyncing a non-full batch (0 = commit as soon as the queue drains;
-	// batching then comes from arrivals during the previous fsync).
-	CommitMaxDelay time.Duration
 	// RelaxedDurability acknowledges mutations as soon as their WAL
 	// records are accepted by the group committer's queue instead of
 	// after the shared fsync. The loss window on a crash is bounded by
 	// the committer queue plus one in-flight batch; what survives is
 	// always a prefix of the acknowledged mutations (WAL order still
 	// equals apply order). Snapshot and Close still flush durably.
-	// Effective only when group commit is engaged (SyncEvery <= 1 and
-	// group commit not disabled); background write failures surface in
-	// CommitStats.SyncFailures and from Close, and once one batch is
-	// lost the committer stops writing later (already-acknowledged)
-	// batches so the surviving WAL stays a prefix.
+	// Background write failures surface in CommitStats.SyncFailures and
+	// from Close, and once one batch is lost the committer stops writing
+	// later (already-acknowledged) batches so the surviving WAL stays a
+	// prefix.
 	RelaxedDurability bool
 	// DisableCacheWarm turns off the background warmer that re-derives
 	// Algorithm-1 results for recently-queried subjects after an
@@ -147,9 +128,9 @@ type System struct {
 	walPath   string
 	// commitCh is the durability wakeup: a token is dropped (non-blocking)
 	// whenever records may have become durable (a commit barrier resolved,
-	// an inline append returned, a snapshot moved the base). Consumers —
-	// the event bus pump, same-process tailers — use it to chase the WAL
-	// without polling; it is a hint, not a count.
+	// a snapshot moved the base). Consumers — the event bus pump,
+	// same-process tailers — use it to chase the WAL without polling; it
+	// is a hint, not a count.
 	commitCh chan struct{}
 	// baseSeq is the global sequence number of the first record in the
 	// current WAL: the count of records compacted into the latest
@@ -158,10 +139,9 @@ type System struct {
 	// the write lock (Snapshot) or during Open.
 	baseSeq atomic.Uint64
 	// stagedSeq is the global sequence number of the last record staged
-	// for durability (enqueued to the committer or appended inline) —
-	// the trace coordinate assigned under the write lock, ahead of the
-	// durable frontier by whatever the committer still holds. Guarded
-	// by mu.
+	// for durability (enqueued to the committer) — the trace coordinate
+	// assigned under the write lock, ahead of the durable frontier by
+	// whatever the committer still holds. Guarded by mu.
 	stagedSeq uint64
 	// trace is the end-to-end pipeline trace every stage stamps into
 	// (see internal/obs). Always non-nil on a System built by Open or
@@ -345,38 +325,15 @@ func Open(cfg Config) (*System, error) {
 	// Replay the WAL suffix, then open it for appending.
 	if cfg.DataDir != "" {
 		walPath := filepath.Join(cfg.DataDir, "wal.log")
-		s.walPath = walPath
 		s.replaying = true
 		_, err := storage.Replay(walPath, s.apply)
 		s.replaying = false
 		if err != nil {
 			return nil, fmt.Errorf("core: replay: %w", err)
 		}
-		sync := cfg.SyncEvery
-		if sync <= 0 {
-			sync = 1
-		}
-		s.wal, err = storage.OpenWALWith(walPath, sync, cfg.WALWrap)
-		if err != nil {
+		if err := s.openWAL(walPath, cfg.WALWrap, cfg.RelaxedDurability); err != nil {
 			return nil, err
 		}
-		// Group commit amortizes *full-durability* fsyncs: every
-		// committer batch is fsynced before its waiters are released, so
-		// it engages only at SyncEvery=1. A relaxed cadence (SyncEvery >
-		// 1) keeps the pre-group-commit inline appends and its
-		// one-fsync-per-N semantics — turning the committer on there
-		// would silently fsync every batch and defeat the setting.
-		if !cfg.DisableGroupCommit && sync == 1 {
-			s.committer = storage.NewCommitter(s.wal, storage.CommitterConfig{
-				MaxBatch:     cfg.CommitMaxBatch,
-				MaxDelay:     cfg.CommitMaxDelay,
-				AckOnEnqueue: cfg.RelaxedDurability,
-				Trace:        s.trace,
-			})
-		}
-		// The trace coordinate starts at the durable frontier: staged ==
-		// durable while nothing is queued.
-		s.stagedSeq = s.baseSeq.Load() + s.wal.Len()
 	}
 
 	// Publish the initial read view: from here on every pure query runs
@@ -387,6 +344,22 @@ func Open(cfg Config) (*System, error) {
 
 	s.startWarm(cfg.DisableCacheWarm, cfg.WarmSubjects)
 	return s, nil
+}
+
+// openWAL opens the log at walPath for appending and starts the group
+// committer over it — the one writer of every WAL record. baseSeq must
+// already hold the log's base: the trace coordinate starts at the
+// durable frontier (staged == durable while nothing is queued).
+func (s *System) openWAL(walPath string, wrap func(storage.File) storage.File, relaxed bool) error {
+	wal, err := storage.OpenWALWith(walPath, wrap)
+	if err != nil {
+		return err
+	}
+	s.wal = wal
+	s.walPath = walPath
+	s.committer = storage.NewCommitter(wal, storage.CommitterConfig{AckOnEnqueue: relaxed, Trace: s.trace})
+	s.stagedSeq = s.baseSeq.Load() + wal.Len()
+	return nil
 }
 
 // initEngines wires the access control and rule engines over the graph
@@ -606,7 +579,7 @@ func (s *System) FencedBy() uint64 { return s.fencedBy.Load() }
 // Poisoned reports whether the WAL committer has latched a write/fsync
 // failure and the System is degraded to read-only (mutations fail with
 // ErrWALPoisoned; queries keep serving the published view). Always false
-// without group commit.
+// without durability.
 func (s *System) Poisoned() bool {
 	return s.committer != nil && s.committer.Poisoned()
 }
@@ -636,40 +609,26 @@ func encodeRecord(typ string, v any) (storage.Record, error) {
 }
 
 // logLocked stages one mutation record for durability and publishes the
-// post-mutation read view. Callers hold the write lock, which is what
-// makes WAL order equal apply order: records are enqueued (or appended)
-// in lock-hold order, and the view published here always reflects every
-// record staged so far. The returned wait function is the commit barrier
-// — call it AFTER releasing the write lock, so the fsync (shared with
-// every other mutation in the same group-commit batch) never blocks
-// readers or other writers.
-//
-// With the committer disabled the append happens inline, preserving the
-// pre-group-commit syncEvery semantics; the barrier then just reports
-// the append's outcome.
+// post-mutation read view: logGroupLocked of one record.
 func (s *System) logLocked(typ string, v any) func() error {
-	s.publishLocked()
-	if s.wal == nil || s.replaying {
-		return waitNil
+	var recs []storage.Record
+	if s.wal != nil && !s.replaying {
+		rec, err := encodeRecord(typ, v)
+		if err != nil {
+			s.publishLocked()
+			return waitErr(err)
+		}
+		recs = []storage.Record{rec}
 	}
-	rec, err := encodeRecord(typ, v)
-	if err != nil {
-		return waitErr(err)
-	}
-	s.traceStagedOneLocked(&rec)
-	if s.committer != nil {
-		ch := s.committer.Commit(rec)
-		return func() error { return s.notifyAfter(<-ch) }
-	}
-	return waitErr(s.notifyAfter(s.wal.Append(rec)))
+	return s.logGroupLocked(recs)
 }
 
 // traceStagedLocked assigns each staged record its global sequence
 // number and claims its pipeline-trace slot: the carried decode/gather
 // stamps plus the apply instant land in the ring here, under the write
 // lock — the same serialization that makes WAL order equal apply order
-// makes the claims race-free. The committer (or nobody, on the inline
-// relaxed-cadence path) stamps the later stages against these sequences.
+// makes the claims race-free. The committer stamps the later stages
+// against these sequences.
 func (s *System) traceStagedLocked(recs []storage.Record) {
 	now := obs.Now()
 	for i := range recs {
@@ -677,14 +636,6 @@ func (s *System) traceStagedLocked(recs []storage.Record) {
 		recs[i].Obs.Seq = s.stagedSeq
 		s.trace.Begin(s.stagedSeq, recs[i].Obs.Stamps, now)
 	}
-}
-
-// traceStagedOneLocked is traceStagedLocked for the single-record path,
-// avoiding a slice header on the hot mutation route.
-func (s *System) traceStagedOneLocked(rec *storage.Record) {
-	s.stagedSeq++
-	rec.Obs.Seq = s.stagedSeq
-	s.trace.Begin(s.stagedSeq, rec.Obs.Stamps, obs.Now())
 }
 
 // notifyAfter forwards a commit outcome, waking durability followers on
@@ -704,19 +655,23 @@ func (s *System) notifyAfter(err error) error {
 	return err
 }
 
-// logGroupLocked is logLocked for a pre-encoded record group: the whole
-// group is enqueued as one unit, costing one fsync.
+// logGroupLocked stages a pre-encoded record group for durability and
+// publishes the post-mutation read view. Callers hold the write lock,
+// which is what makes WAL order equal apply order: groups are enqueued
+// to the committer in lock-hold order, and the view published here
+// always reflects every record staged so far. The whole group is one
+// committer unit, costing one fsync. The returned wait function is the
+// commit barrier — call it AFTER releasing the write lock, so the fsync
+// (shared with every other mutation in the same batch) never blocks
+// readers or other writers.
 func (s *System) logGroupLocked(recs []storage.Record) func() error {
 	s.publishLocked()
 	if s.wal == nil || s.replaying || len(recs) == 0 {
 		return waitNil
 	}
 	s.traceStagedLocked(recs)
-	if s.committer != nil {
-		ch := s.committer.Commit(recs...)
-		return func() error { return s.notifyAfter(<-ch) }
-	}
-	return waitErr(s.notifyAfter(s.wal.AppendGroup(recs)))
+	ch := s.committer.Commit(recs...)
+	return func() error { return s.notifyAfter(<-ch) }
 }
 
 // --- Cache warming ------------------------------------------------------
@@ -1307,8 +1262,8 @@ func (s *System) WhoWasIn(l graph.ID, window interval.Interval) []profile.Subjec
 // the observability hook behind the server's /v1/stats endpoint.
 func (s *System) QueryCacheStats() query.CacheStats { return s.cache.Stats() }
 
-// CommitStats reports the group committer's batching counters (zero when
-// durability or group commit is disabled).
+// CommitStats reports the group committer's batching counters (zero
+// without durability).
 func (s *System) CommitStats() storage.CommitterStats {
 	if s.committer == nil {
 		return storage.CommitterStats{}
@@ -1462,14 +1417,9 @@ func (s *System) CaptureBootstrap() (seq uint64, autoDerive bool, state json.Raw
 	if err != nil {
 		return 0, false, nil, err
 	}
-	// The captured state includes every applied mutation, so the capture
-	// sequence must count all of them — and they must be durable, or a
-	// crash could retract records the bootstrap already claims. A
-	// relaxed fsync cadence (SyncEvery > 1) can leave an unsynced tail;
-	// sync it now.
-	if err := s.wal.Sync(); err != nil {
-		return 0, false, nil, err
-	}
+	// The captured state includes every applied mutation, and the flush
+	// above made every one of them durable, so the durable length counts
+	// them all.
 	seq = s.baseSeq.Load() + s.wal.DurableLen()
 	snap.Seq = seq
 	data, err := json.Marshal(snap)

@@ -21,9 +21,8 @@ import (
 func TestPoisonGateAfterSyncFault(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Config{
-		Graph:     graph.NTUCampus(),
-		DataDir:   dir,
-		SyncEvery: 1,
+		Graph:   graph.NTUCampus(),
+		DataDir: dir,
 		WALWrap: func(f storage.File) storage.File {
 			return fault.NewFile(f, fault.Rule{Op: fault.OpSync, Nth: 3, Err: fault.ErrIO})
 		},

@@ -18,15 +18,6 @@ import (
 	"repro/internal/storage"
 )
 
-// PromoteConfig tunes the WAL the new primary opens. The zero value is
-// full durability: fsync every mutation, group commit on.
-type PromoteConfig struct {
-	// SyncEvery is the WAL fsync cadence (0 = 1, every mutation).
-	SyncEvery int
-	// DisableGroupCommit keeps appends inline on the mutator goroutine.
-	DisableGroupCommit bool
-}
-
 // Promote converts the follower into a primary IN PLACE, under a new
 // promotion term one higher than any it has seen:
 //
@@ -44,7 +35,7 @@ type PromoteConfig struct {
 // not already hold a snapshot or a non-empty WAL — promotion begins a
 // new durable lineage, it does not splice onto an old one. Promote is
 // idempotent: a second call returns the already-established term.
-func (r *Replica) Promote(dataDir string, cfg ...PromoteConfig) (uint64, error) {
+func (r *Replica) Promote(dataDir string) (uint64, error) {
 	if dataDir == "" {
 		return 0, errors.New("core: promote requires a data directory")
 	}
@@ -65,11 +56,7 @@ func (r *Replica) Promote(dataDir string, cfg ...PromoteConfig) (uint64, error) 
 	if t := r.sys.Term(); t >= newTerm {
 		newTerm = t + 1
 	}
-	var c PromoteConfig
-	if len(cfg) > 0 {
-		c = cfg[0]
-	}
-	if err := r.sys.promote(dataDir, newTerm, r.appliedSeq.Load(), c); err != nil {
+	if err := r.sys.promote(dataDir, newTerm, r.appliedSeq.Load()); err != nil {
 		r.promoted.Store(false)
 		return 0, err
 	}
@@ -83,7 +70,7 @@ func (r *Replica) Promote(dataDir string, cfg ...PromoteConfig) (uint64, error) 
 // state as the new lineage's first snapshot, open a fresh WAL at its
 // sequence, and lift the read-only gate — all in one write critical
 // section, so no reader ever sees a half-converted System.
-func (s *System) promote(dataDir string, term, seq uint64, cfg PromoteConfig) error {
+func (s *System) promote(dataDir string, term, seq uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.wal != nil {
@@ -112,22 +99,11 @@ func (s *System) promote(dataDir string, term, seq uint64, cfg PromoteConfig) er
 	if err := snaps.Save(seq, snap, 2); err != nil {
 		return err
 	}
-	sync := cfg.SyncEvery
-	if sync <= 0 {
-		sync = 1
-	}
-	wal, err := storage.OpenWALWith(walPath, sync, nil)
-	if err != nil {
+	s.baseSeq.Store(seq)
+	if err := s.openWAL(walPath, nil, false); err != nil {
 		return err
 	}
 	s.snaps = snaps
-	s.wal = wal
-	s.walPath = walPath
-	if !cfg.DisableGroupCommit && sync == 1 {
-		s.committer = storage.NewCommitter(wal, storage.CommitterConfig{Trace: s.trace})
-	}
-	s.baseSeq.Store(seq)
-	s.stagedSeq = seq
 	s.term.Store(term)
 	s.readOnly.Store(false)
 	s.publishLocked()

@@ -31,9 +31,8 @@ import (
 // alive for diagnosis, unready for traffic.
 func TestPoisonedPrimaryDegradesTo503(t *testing.T) {
 	sys, err := core.Open(core.Config{
-		Graph:     graph.NTUCampus(),
-		DataDir:   t.TempDir(),
-		SyncEvery: 1,
+		Graph:   graph.NTUCampus(),
+		DataDir: t.TempDir(),
 		WALWrap: func(f storage.File) storage.File {
 			return fault.NewFile(f, fault.Rule{Op: fault.OpSync, Nth: 3, Err: fault.ErrIO})
 		},
@@ -173,7 +172,7 @@ func testResumeEquivalence(t *testing.T, wf wire.WireFormat) {
 		t.Fatal(err)
 	}
 	defer prox.Close()
-	ro, err := wire.NewClient("http://" + prox.Addr()).StreamObserveResumable(context.Background(), wf)
+	ro, err := wire.NewClient("http://"+prox.Addr()).StreamObserveResumable(context.Background(), wf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,6 +210,12 @@ func testResumeEquivalence(t *testing.T, wf wire.WireFormat) {
 	// record.
 	if ackA.Granted != ackB.Granted || ackA.Denied != ackB.Denied || ackA.Errors != ackB.Errors || ackA.Moved != ackB.Moved {
 		t.Fatalf("outcome counters diverged:\ndirect %+v\nchaos  %+v", ackA, ackB)
+	}
+	// The chaos server's own tally counts every frame's outcome once,
+	// however many connections the session spanned.
+	if in := statsB.Stream.Ingest; in.Granted != ackA.Granted || in.Moved != ackA.Moved {
+		t.Fatalf("chaos server stats granted/moved = %d/%d, direct acks %d/%d",
+			in.Granted, in.Moved, ackA.Granted, ackA.Moved)
 	}
 	seqA, seqB := sysA.ReplicationInfo().TotalSeq, sysB.ReplicationInfo().TotalSeq
 	if seqA != seqB {

@@ -39,8 +39,7 @@ import (
 // calls), and the event bus is built on the first subscription because
 // it pins the alert-log feed and needs a durable primary.
 type streamState struct {
-	ingest    stream.IngestCounters
-	ingestCfg stream.IngestConfig
+	ingest stream.IngestCounters
 	// sessions maps X-Ltam-Session tokens to ingest resume sessions
 	// (exactly-once across reconnects; see internal/stream/session.go).
 	sessions stream.SessionRegistry
@@ -68,7 +67,7 @@ func (s *Server) ingestor() *stream.Ingestor {
 	st.ingMu.Lock()
 	defer st.ingMu.Unlock()
 	if st.ing == nil {
-		st.ing = &stream.Ingestor{Target: s.sys, Config: st.ingestCfg, Counters: &st.ingest}
+		st.ing = &stream.Ingestor{Target: s.sys, Counters: &st.ingest}
 	}
 	return st.ing
 }

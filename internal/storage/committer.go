@@ -4,16 +4,14 @@
 // Callers enqueue records with Commit and receive a barrier channel that
 // delivers exactly one error (nil on success) once their records are
 // durably on disk. A dedicated committer goroutine drains the queue,
-// writes everything it collected as one AppendGroup — one frame sequence,
+// writes everything it collected as one WAL Append — one frame sequence,
 // one fsync — and then releases every waiter of the batch.
 //
 // Batching arises naturally from concurrency: while one fsync is in
 // flight, new Commit calls pile up in the queue and are absorbed by the
-// next batch. MaxDelay therefore defaults to zero (no artificial latency,
-// the same stance as PostgreSQL's commit_delay=0); setting it positive
-// makes the committer linger for stragglers when an ingest-heavy
-// deployment prefers bigger batches over lowest latency. MaxBatch bounds
-// how many records a single fsync may cover.
+// next batch. The committer never lingers for stragglers (no artificial
+// latency, the same stance as PostgreSQL's commit_delay=0);
+// DefaultMaxBatch bounds how many records a single fsync may cover.
 package storage
 
 import (
@@ -21,7 +19,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -40,32 +37,25 @@ var ErrCommitterClosed = errors.New("storage: committer closed")
 // survived.
 var ErrWALPoisoned = errors.New("storage: WAL poisoned by failed write or fsync")
 
-// Committer defaults.
+// Committer bounds.
 const (
+	// DefaultMaxBatch caps the records one fsync may cover.
 	DefaultMaxBatch = 1024
+	// DefaultQueueLen is the enqueue buffer in groups; a full queue
+	// applies backpressure to Commit.
 	DefaultQueueLen = 4096
 )
 
-// CommitterConfig tunes a Committer. The zero value selects the defaults.
+// CommitterConfig configures a Committer. The zero value is the durable
+// committer.
 type CommitterConfig struct {
-	// MaxBatch caps the records covered by one fsync (<= 0 selects
-	// DefaultMaxBatch).
-	MaxBatch int
-	// MaxDelay is how long the committer lingers for more records once it
-	// holds a non-full batch. Zero (the default) commits as soon as the
-	// queue is drained — batching then comes only from arrivals during
-	// the previous fsync, which keeps solo-writer latency at one fsync.
-	MaxDelay time.Duration
-	// QueueLen is the enqueue buffer in groups (<= 0 selects
-	// DefaultQueueLen). A full queue applies backpressure to Commit.
-	QueueLen int
 	// AckOnEnqueue is the relaxed-durability mode: Commit's barrier is
 	// released as soon as the records are accepted into the queue, not
 	// after their fsync. The records still reach the WAL in enqueue
 	// order on the committer goroutine, so a crash loses at most the
 	// queued-but-unsynced suffix — what survives is always a prefix of
 	// the acknowledged records, never a reordering. The loss window is
-	// bounded by QueueLen groups plus one in-flight batch. Flush (and
+	// bounded by DefaultQueueLen groups plus one in-flight batch. Flush (and
 	// therefore Close) remains fully durable: its barrier is released
 	// only after the fsync covering everything enqueued before it.
 	// Background fsync failures are counted in Stats().SyncFailures and
@@ -77,13 +67,10 @@ type CommitterConfig struct {
 }
 
 // group is one Commit call: its records plus its commit barrier. A
-// flush group is an empty sentinel that must commit immediately rather
-// than linger for stragglers — Flush callers (e.g. a snapshot holding
-// the System write lock) are often the reason no straggler can arrive.
+// Flush rides the queue as an empty group.
 type group struct {
-	recs  []Record
-	done  chan error
-	flush bool
+	recs []Record
+	done chan error
 }
 
 // CommitterStats is a point-in-time snapshot of batching effectiveness.
@@ -108,8 +95,6 @@ type CommitterStats struct {
 // for concurrent use. Close drains the queue before returning.
 type Committer struct {
 	wal          *WAL
-	maxBatch     int
-	maxDelay     time.Duration
 	ackOnEnqueue bool
 	trace        *obs.PipelineTrace
 
@@ -128,19 +113,11 @@ type Committer struct {
 
 // NewCommitter starts the committer goroutine over w.
 func NewCommitter(w *WAL, cfg CommitterConfig) *Committer {
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultMaxBatch
-	}
-	if cfg.QueueLen <= 0 {
-		cfg.QueueLen = DefaultQueueLen
-	}
 	c := &Committer{
 		wal:          w,
-		maxBatch:     cfg.MaxBatch,
-		maxDelay:     cfg.MaxDelay,
 		ackOnEnqueue: cfg.AckOnEnqueue,
 		trace:        cfg.Trace,
-		ch:           make(chan group, cfg.QueueLen),
+		ch:           make(chan group, DefaultQueueLen),
 	}
 	c.loopWG.Add(1)
 	go c.run()
@@ -173,11 +150,9 @@ func (c *Committer) Commit(recs ...Record) <-chan error {
 }
 
 // Flush blocks until every group enqueued before the call is committed.
-// It never waits out MaxDelay: the sentinel forces the in-flight batch
-// to commit as soon as it is collected.
 func (c *Committer) Flush() error {
 	done := make(chan error, 1)
-	c.enqueue(group{done: done, flush: true}) // empty sentinel rides the FIFO
+	c.enqueue(group{done: done}) // empty sentinel rides the FIFO
 	return <-done
 }
 
@@ -256,18 +231,14 @@ func (c *Committer) stamp(recs []Record, st obs.Stage) {
 }
 
 // run is the committer goroutine: collect a batch, write it with one
-// AppendGroup (one fsync), release the batch's waiters, repeat.
+// Append (one fsync), release the batch's waiters, repeat.
 func (c *Committer) run() {
 	defer c.loopWG.Done()
 	for g := range c.ch {
 		batch := []group{g}
 		n := len(g.recs)
-		urgent := g.flush
-
-		var timer *time.Timer
-		var lingering <-chan time.Time
 	collect:
-		for !urgent && n < c.maxBatch {
+		for n < DefaultMaxBatch {
 			select {
 			case g2, ok := <-c.ch:
 				if !ok {
@@ -275,30 +246,9 @@ func (c *Committer) run() {
 				}
 				batch = append(batch, g2)
 				n += len(g2.recs)
-				urgent = g2.flush
 			default:
-				if c.maxDelay <= 0 {
-					break collect
-				}
-				if timer == nil {
-					timer = time.NewTimer(c.maxDelay)
-					lingering = timer.C
-				}
-				select {
-				case g2, ok := <-c.ch:
-					if !ok {
-						break collect
-					}
-					batch = append(batch, g2)
-					n += len(g2.recs)
-					urgent = g2.flush
-				case <-lingering:
-					break collect
-				}
+				break collect
 			}
-		}
-		if timer != nil {
-			timer.Stop()
 		}
 
 		recs := make([]Record, 0, n)
@@ -326,7 +276,7 @@ func (c *Committer) run() {
 		}
 		if err == nil {
 			c.stamp(recs, obs.StageAppend)
-			err = c.wal.AppendGroup(recs)
+			err = c.wal.Append(recs...)
 		}
 		if err == nil && n > 0 {
 			c.batches.Add(1)

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 )
 
 // replayInts reads the log at path and returns the integer payloads in
@@ -32,7 +31,7 @@ func replayInts(t *testing.T, path string) []int {
 // fsync batches than records).
 func TestCommitterBarrier(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, err := OpenWAL(path, 1)
+	w, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,16 +83,16 @@ func TestCommitterBarrier(t *testing.T) {
 
 // TestCommitterOrder: a single serialised producer's records replay in
 // enqueue order — the WAL-order-equals-apply-order invariant the System
-// relies on.
+// relies on — across several DefaultMaxBatch-bounded batches.
 func TestCommitterOrder(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, err := OpenWAL(path, 1)
+	w, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCommitter(w, CommitterConfig{MaxBatch: 7})
+	c := NewCommitter(w, CommitterConfig{})
 
-	const n = 100
+	const n = 3*DefaultMaxBatch + 100
 	waits := make([]<-chan error, 0, n)
 	for i := 0; i < n; i++ {
 		waits = append(waits, c.Commit(rec(t, "r", i)))
@@ -106,10 +105,17 @@ func TestCommitterOrder(t *testing.T) {
 	_ = c.Close()
 	_ = w.Close()
 
-	for i, v := range replayInts(t, path) {
+	got := replayInts(t, path)
+	if len(got) != n {
+		t.Fatalf("replayed %d records, want %d", len(got), n)
+	}
+	for i, v := range got {
 		if v != i {
 			t.Fatalf("record %d = %d: order not preserved", i, v)
 		}
+	}
+	if st := c.Stats(); st.Batches < n/DefaultMaxBatch+1 {
+		t.Errorf("%d records in %d batches: DefaultMaxBatch not enforced", st.Records, st.Batches)
 	}
 }
 
@@ -117,7 +123,7 @@ func TestCommitterOrder(t *testing.T) {
 // written contiguously and acked once.
 func TestCommitterMultiRecordGroups(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, _ := OpenWAL(path, 1)
+	w, _ := OpenWAL(path)
 	c := NewCommitter(w, CommitterConfig{})
 
 	var recs []Record
@@ -147,7 +153,7 @@ func TestCommitterMultiRecordGroups(t *testing.T) {
 // enqueued; Commit after Close fails fast with ErrCommitterClosed.
 func TestCommitterCloseDrainsAndRejects(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, _ := OpenWAL(path, 1)
+	w, _ := OpenWAL(path)
 	c := NewCommitter(w, CommitterConfig{})
 
 	waits := make([]<-chan error, 0, 20)
@@ -176,7 +182,7 @@ func TestCommitterCloseDrainsAndRejects(t *testing.T) {
 // resolve immediately and write nothing.
 func TestCommitterEmptyCommitAndFlush(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, _ := OpenWAL(path, 1)
+	w, _ := OpenWAL(path)
 	c := NewCommitter(w, CommitterConfig{})
 	if err := <-c.Commit(); err != nil {
 		t.Fatal(err)
@@ -194,58 +200,6 @@ func TestCommitterEmptyCommitAndFlush(t *testing.T) {
 	}
 }
 
-// TestCommitterMaxDelayLingers: with MaxDelay set, stragglers arriving
-// within the window join the in-flight batch.
-func TestCommitterMaxDelayLingers(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal")
-	w, _ := OpenWAL(path, 1)
-	c := NewCommitter(w, CommitterConfig{MaxDelay: 50 * time.Millisecond})
-
-	first := c.Commit(rec(t, "r", 0))
-	time.Sleep(5 * time.Millisecond) // arrive inside the linger window
-	second := c.Commit(rec(t, "r", 1))
-	if err := <-first; err != nil {
-		t.Fatal(err)
-	}
-	if err := <-second; err != nil {
-		t.Fatal(err)
-	}
-	_ = c.Close()
-	_ = w.Close()
-	st := c.Stats()
-	if st.Records != 2 {
-		t.Fatalf("records = %d, want 2", st.Records)
-	}
-	if st.Batches != 1 {
-		t.Errorf("batches = %d, want 1 (straggler should join the lingering batch)", st.Batches)
-	}
-}
-
-// TestCommitterFlushImmediate: Flush must not wait out MaxDelay — a
-// flusher often holds a lock that prevents any straggler from arriving.
-func TestCommitterFlushImmediate(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal")
-	w, _ := OpenWAL(path, 1)
-	c := NewCommitter(w, CommitterConfig{MaxDelay: 30 * time.Second})
-
-	pending := c.Commit(rec(t, "r", 0))
-	start := time.Now()
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("Flush lingered %v with MaxDelay=30s", elapsed)
-	}
-	if err := <-pending; err != nil {
-		t.Fatal(err)
-	}
-	_ = c.Close()
-	_ = w.Close()
-	if got := replayInts(t, path); len(got) != 1 {
-		t.Fatalf("replayed %d, want 1", len(got))
-	}
-}
-
 // TestGroupCommitTornTail: a crash that tears a group-commit batch must
 // recover the longest whole-record prefix of the batch — never an error,
 // never a phantom, never a record from beyond the tear. This is the
@@ -254,7 +208,7 @@ func TestCommitterFlushImmediate(t *testing.T) {
 func TestGroupCommitTornTail(t *testing.T) {
 	dir := t.TempDir()
 	full := filepath.Join(dir, "full")
-	w, err := OpenWAL(full, 1)
+	w, err := OpenWAL(full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +222,7 @@ func TestGroupCommitTornTail(t *testing.T) {
 	for i := 2; i < 8; i++ {
 		batch = append(batch, rec(t, "r", i))
 	}
-	if err := w.AppendGroup(batch); err != nil {
+	if err := w.Append(batch...); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -292,14 +246,14 @@ func TestGroupCommitTornTail(t *testing.T) {
 		}
 		// Reopen for appending: the torn tail must be truncated and the
 		// log healthy.
-		w2, err := OpenWAL(path, 1)
+		w2, err := OpenWAL(path)
 		if err != nil {
 			t.Fatalf("cut=%d: reopen: %v", cut, err)
 		}
 		if w2.Len() != uint64(len(got)) {
 			t.Fatalf("cut=%d: len %d != replayed %d", cut, w2.Len(), len(got))
 		}
-		if err := w2.AppendGroup([]Record{rec(t, "r", 100), rec(t, "r", 101)}); err != nil {
+		if err := w2.Append(rec(t, "r", 100), rec(t, "r", 101)); err != nil {
 			t.Fatalf("cut=%d: append group after recovery: %v", cut, err)
 		}
 		if err := w2.Close(); err != nil {

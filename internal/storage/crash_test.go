@@ -15,7 +15,7 @@ import (
 func TestPropCrashAtEveryByte(t *testing.T) {
 	dir := t.TempDir()
 	full := filepath.Join(dir, "full")
-	w, err := OpenWAL(full, 1)
+	w, err := OpenWAL(full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,9 +23,6 @@ func TestPropCrashAtEveryByte(t *testing.T) {
 	var offsets []int64 // byte size after each record
 	for i := 0; i < records; i++ {
 		if err := w.Append(rec(t, "r", i)); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Sync(); err != nil {
 			t.Fatal(err)
 		}
 		fi, err := os.Stat(full)
@@ -79,7 +76,7 @@ func TestPropCrashAtEveryByte(t *testing.T) {
 		}
 
 		// Reopen, append, and verify the log is healthy.
-		w2, err := OpenWAL(path, 1)
+		w2, err := OpenWAL(path)
 		if err != nil {
 			t.Fatalf("cut=%d: reopen: %v", cut, err)
 		}
@@ -106,7 +103,7 @@ func TestPropRandomCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	dir := t.TempDir()
 	base := filepath.Join(dir, "base")
-	w, _ := OpenWAL(base, 1)
+	w, _ := OpenWAL(base)
 	for i := 0; i < 20; i++ {
 		_ = w.Append(rec(t, "r", i))
 	}

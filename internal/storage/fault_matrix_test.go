@@ -20,14 +20,14 @@ type matrixOutcome struct {
 }
 
 // matrixWorkload is the canonical crash-matrix workload: a durable
-// committer (syncEvery=1, no relaxed acks) committing records m0..m{n-1}
+// committer (no relaxed acks) committing records m0..m{n-1}
 // one at a time, waiting out every barrier. Sequential commits mean the
 // nil-acked set is by construction a prefix; the run records where it
 // ends. After the first failure one probe commit checks the poison
 // latch.
 func matrixWorkload(t *testing.T, path string, n int, wrap func(File) File) matrixOutcome {
 	t.Helper()
-	w, err := OpenWALWith(path, 1, wrap)
+	w, err := OpenWALWith(path, wrap)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -154,7 +154,7 @@ func TestFaultMatrixAckedPrefixDurable(t *testing.T) {
 // sync #1 is the one that covers record m0.
 func TestFaultMatrixRelaxedLatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, err := OpenWALWith(path, 1, func(f File) File {
+	w, err := OpenWALWith(path, func(f File) File {
 		return fault.NewFile(f, fault.Rule{Op: fault.OpSync, Nth: 1, Err: fault.ErrIO})
 	})
 	if err != nil {

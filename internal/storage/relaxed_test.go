@@ -13,7 +13,7 @@ import (
 // barrier).
 func TestRelaxedAcksBeforeFsync(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, err := OpenWAL(path, 1)
+	w, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestRelaxedAcksBeforeFsync(t *testing.T) {
 func TestRelaxedCrashKeepsPrefix(t *testing.T) {
 	dir := t.TempDir()
 	full := filepath.Join(dir, "full")
-	w, err := OpenWAL(full, 1)
+	w, err := OpenWAL(full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,13 +104,13 @@ func TestRelaxedCrashKeepsPrefix(t *testing.T) {
 // the hole, and Flush, Close, Err and SyncFailures all surface it.
 func TestRelaxedSurfacesBackgroundFailure(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, err := OpenWAL(path, 1)
+	w, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := NewCommitter(w, CommitterConfig{AckOnEnqueue: true})
 	// Sabotage: close the WAL out from under the committer so every
-	// subsequent AppendGroup fails.
+	// subsequent Append fails.
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestRelaxedSurfacesBackgroundFailure(t *testing.T) {
 // ErrCommitterClosed through the immediately-released barrier.
 func TestRelaxedCloseSurfacesClosed(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, err := OpenWAL(path, 1)
+	w, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}

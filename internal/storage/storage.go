@@ -75,6 +75,7 @@ type File interface {
 }
 
 // WAL is an append-only write-ahead log. It is safe for concurrent use.
+// Every Append that returns nil has been fsynced.
 type WAL struct {
 	mu   sync.Mutex
 	f    File
@@ -82,23 +83,21 @@ type WAL struct {
 	path string
 	// seq is the number of records ever appended (including recovered).
 	seq uint64
-	// syncEvery controls fsync cadence: 1 = every append (durable),
-	// 0 = never (tests/benchmarks).
-	syncEvery int
-	pending   int
+	// pending counts frames written but not yet fsynced: zero after every
+	// successful Append, non-zero only when a flush or fsync failed.
+	pending int
 }
 
-// OpenWAL opens (creating if needed) the log at path. syncEvery=1 gives
-// per-append durability; larger values batch fsyncs.
-func OpenWAL(path string, syncEvery int) (*WAL, error) {
-	return OpenWALWith(path, syncEvery, nil)
+// OpenWAL opens (creating if needed) the log at path.
+func OpenWAL(path string) (*WAL, error) {
+	return OpenWALWith(path, nil)
 }
 
 // OpenWALWith is OpenWAL with a file wrapper: when wrap is non-nil the
 // opened handle is passed through it before any I/O, so a caller can
 // interpose deterministic faults (or instrumentation) on every write,
 // sync, seek and truncate the log performs.
-func OpenWALWith(path string, syncEvery int, wrap func(File) File) (*WAL, error) {
+func OpenWALWith(path string, wrap func(File) File) (*WAL, error) {
 	osf, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("storage: open wal: %w", err)
@@ -107,7 +106,7 @@ func OpenWALWith(path string, syncEvery int, wrap func(File) File) (*WAL, error)
 	if wrap != nil {
 		f = wrap(f)
 	}
-	w := &WAL{f: f, path: path, syncEvery: syncEvery}
+	w := &WAL{f: f, path: path}
 	// Scan to count records and find the valid end; truncate a torn tail.
 	end, n, err := scanLog(f)
 	if err != nil {
@@ -191,30 +190,11 @@ func (w *WAL) writeFrameLocked(body []byte) error {
 	return nil
 }
 
-// Append writes one record and, per the sync policy, fsyncs.
-func (w *WAL) Append(rec Record) error {
-	body, err := encodeFrame(rec)
-	if err != nil {
-		return err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.writeFrameLocked(body); err != nil {
-		return err
-	}
-	if w.syncEvery > 0 && w.pending >= w.syncEvery {
-		return w.syncLocked()
-	}
-	return nil
-}
-
-// AppendGroup writes recs as one contiguous frame sequence under a single
-// lock acquisition and — when the sync policy is enabled (syncEvery > 0) —
-// exactly one fsync for the whole group, regardless of the per-append
-// cadence. This is the group-commit primitive: N records cost one durable
-// write instead of N. A crash mid-group truncates to a frame boundary, so
-// recovery replays an atomic prefix of the group (see the crash tests).
-func (w *WAL) AppendGroup(recs []Record) error {
+// Append writes recs as one contiguous frame sequence under a single
+// lock acquisition and exactly one fsync: N records cost one durable
+// write instead of N. A crash mid-sequence truncates to a frame boundary,
+// so recovery replays an atomic prefix of recs (see the crash tests).
+func (w *WAL) Append(recs ...Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
@@ -233,10 +213,7 @@ func (w *WAL) AppendGroup(recs []Record) error {
 			return err
 		}
 	}
-	if w.syncEvery > 0 {
-		return w.syncLocked()
-	}
-	return nil
+	return w.syncLocked()
 }
 
 func (w *WAL) syncLocked() error {
@@ -248,13 +225,6 @@ func (w *WAL) syncLocked() error {
 	}
 	w.pending = 0
 	return nil
-}
-
-// Sync flushes and fsyncs outstanding appends.
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.syncLocked()
 }
 
 // Len returns the number of records in the log.
@@ -269,9 +239,10 @@ func (w *WAL) Len() uint64 {
 // but not yet synced must not be shipped, because a crash could retract
 // it and the primary would then rewrite that sequence number with a
 // different record — a follower that applied the retracted one would
-// diverge undetectably. Conservative by construction: records appended
-// since the last explicit fsync are not counted even if the OS has
-// already flushed them.
+// diverge undetectably. Every Append fsyncs, so the two lengths differ
+// only after a failed flush or fsync: the frames it left behind may be
+// in the file (or the page cache) but are not counted, even if the OS
+// later flushes them.
 func (w *WAL) DurableLen() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()

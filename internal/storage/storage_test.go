@@ -18,7 +18,7 @@ func rec(t *testing.T, typ string, v any) Record {
 
 func TestWALAppendReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, err := OpenWAL(path, 1)
+	w, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,10 +58,10 @@ func TestWALAppendReplay(t *testing.T) {
 
 func TestWALReopenContinues(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, _ := OpenWAL(path, 1)
+	w, _ := OpenWAL(path)
 	_ = w.Append(rec(t, "a", 1))
 	_ = w.Close()
-	w, err := OpenWAL(path, 1)
+	w, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestWALReopenContinues(t *testing.T) {
 
 func TestWALTornTailTruncated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, _ := OpenWAL(path, 1)
+	w, _ := OpenWAL(path)
 	_ = w.Append(rec(t, "a", 1))
 	_ = w.Append(rec(t, "a", 2))
 	_ = w.Close()
@@ -93,7 +93,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 		t.Fatalf("replay after tear: %d, %v", n, err)
 	}
 	// Reopen truncates the tear and appends cleanly after it.
-	w, err = OpenWAL(path, 1)
+	w, err = OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 
 func TestWALGarbageTailIgnored(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, _ := OpenWAL(path, 1)
+	w, _ := OpenWAL(path)
 	_ = w.Append(rec(t, "a", 1))
 	_ = w.Close()
 	// Append garbage bytes (e.g. a corrupt header with a huge length).
@@ -127,7 +127,7 @@ func TestWALGarbageTailIgnored(t *testing.T) {
 	if err != nil || n != 1 {
 		t.Fatalf("replay = %d, %v", n, err)
 	}
-	w, err = OpenWAL(path, 1)
+	w, err = OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestWALGarbageTailIgnored(t *testing.T) {
 
 func TestWALCorruptChecksumStopsReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, _ := OpenWAL(path, 1)
+	w, _ := OpenWAL(path)
 	_ = w.Append(rec(t, "a", 1))
 	_ = w.Append(rec(t, "a", 2))
 	_ = w.Close()
@@ -158,7 +158,7 @@ func TestWALCorruptChecksumStopsReplay(t *testing.T) {
 
 func TestWALTruncate(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, _ := OpenWAL(path, 1)
+	w, _ := OpenWAL(path)
 	_ = w.Append(rec(t, "a", 1))
 	if err := w.Truncate(); err != nil {
 		t.Fatal(err)
@@ -177,22 +177,6 @@ func TestWALTruncate(t *testing.T) {
 	})
 	if len(vals) != 1 || vals[0] != 2 {
 		t.Errorf("vals = %v", vals)
-	}
-}
-
-func TestWALBatchedSync(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal")
-	w, _ := OpenWAL(path, 100) // batch
-	for i := 0; i < 5; i++ {
-		_ = w.Append(rec(t, "a", i))
-	}
-	if err := w.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	_ = w.Close()
-	n, _ := Replay(path, func(Record) error { return nil })
-	if n != 5 {
-		t.Errorf("n = %d", n)
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/fault"
 )
 
 // mkRecords builds n distinct records.
@@ -25,16 +27,13 @@ func walBytes(t *testing.T, recs []Record) ([]byte, []int64) {
 	t.Helper()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.log")
-	w, err := OpenWAL(path, 0)
+	w, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ends []int64
 	for _, rec := range recs {
 		if err := w.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Sync(); err != nil {
 			t.Fatal(err)
 		}
 		fi, err := os.Stat(path)
@@ -59,7 +58,7 @@ func walBytes(t *testing.T, recs []Record) ([]byte, []int64) {
 func TestTailerFollowsLiveLog(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.log")
-	w, err := OpenWAL(path, 0)
+	w, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,9 +75,6 @@ func TestTailerFollowsLiveLog(t *testing.T) {
 	recs := mkRecords(20)
 	for i, rec := range recs {
 		if err := w.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Sync(); err != nil {
 			t.Fatal(err)
 		}
 		got, err := tl.Next()
@@ -320,41 +316,30 @@ func TestFrameRoundTrips(t *testing.T) {
 }
 
 // TestDurableLenTracksFsyncBoundary: DurableLen (the replication
-// stream's upper bound) counts only fsynced records, so a relaxed sync
-// cadence keeps unsynced appends out of the shipped history.
+// stream's upper bound) counts only fsynced records. Every successful
+// Append fsyncs, so the two lengths agree — until a failed fsync leaves
+// frames written but not synced, which must stay out of the shipped
+// history.
 func TestDurableLenTracksFsyncBoundary(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "wal.log")
-	w, err := OpenWAL(path, 3) // fsync every 3 appends
+	path := filepath.Join(t.TempDir(), "wal.log")
+	w, err := OpenWALWith(path, func(f File) File {
+		return fault.NewFile(f, fault.Rule{Op: fault.OpSync, Nth: 2, Err: fault.ErrIO})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
 	recs := mkRecords(5)
-	for i := 0; i < 2; i++ {
-		if err := w.Append(recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := w.DurableLen(); got != 0 {
-		t.Fatalf("DurableLen after 2 unsynced appends = %d, want 0", got)
-	}
-	if err := w.Append(recs[2]); err != nil { // third append triggers fsync
+	if err := w.Append(recs[:3]...); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.DurableLen(); got != 3 {
-		t.Fatalf("DurableLen after sync cadence hit = %d, want 3", got)
+	if got, n := w.DurableLen(), w.Len(); got != 3 || n != 3 {
+		t.Fatalf("DurableLen = %d (Len %d) after a synced append, want 3 (3)", got, n)
 	}
-	if err := w.Append(recs[3]); err != nil {
-		t.Fatal(err)
+	if err := w.Append(recs[3:]...); !errors.Is(err, fault.ErrIO) {
+		t.Fatalf("append over a failing fsync = %v, want the injected EIO", err)
 	}
-	if got, n := w.DurableLen(), w.Len(); got != 3 || n != 4 {
-		t.Fatalf("DurableLen = %d (Len %d), want 3 (4)", got, n)
-	}
-	if err := w.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.DurableLen(); got != 4 {
-		t.Fatalf("DurableLen after explicit Sync = %d, want 4", got)
+	if got, n := w.DurableLen(), w.Len(); got != 3 || n != 5 {
+		t.Fatalf("DurableLen = %d (Len %d) after a failed fsync, want 3 (5)", got, n)
 	}
 }

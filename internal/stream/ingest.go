@@ -17,9 +17,11 @@
 // and records which span of the combined batch belongs to which
 // connection. After the batch's commit barrier it folds each span's
 // outcomes into that connection's cumulative Ack (carrying the durable
-// TotalSeq) and wakes its writer. Acks coalesce: a writer that falls
-// behind delivers only the latest cumulative ack, which by construction
-// covers every ack it skipped.
+// TotalSeq) and wakes its writer; a session connection's acks carry the
+// session's outcome totals instead, so they stay exact across
+// reconnects. Acks coalesce: a writer that falls behind delivers only
+// the latest cumulative ack, which by construction covers every ack it
+// skipped.
 //
 // Framing is crash-oriented by construction: a frame is applied if and
 // only if it arrived complete (see codec.go). A connection cut mid-frame
@@ -34,7 +36,6 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/geometry"
@@ -50,6 +51,9 @@ var ErrDraining = errors.New("stream: server draining")
 // Ingest defaults.
 const (
 	DefaultMaxChunk = 1024
+	// DefaultQueueLen is the decoded-frame buffer between each connection
+	// reader and the shared chunker; a full queue applies backpressure to
+	// that connection.
 	DefaultQueueLen = 4096
 )
 
@@ -63,29 +67,19 @@ type IngestTarget interface {
 }
 
 // IngestConfig tunes the chunking policy. The zero value selects the
-// defaults.
+// defaults. A chunk never lingers for more frames: it is applied as soon
+// as the queues momentarily drain, so batching comes from frames arriving
+// during the previous chunk's fsync — the same natural batching stance as
+// the group committer's commit_delay=0.
 type IngestConfig struct {
 	// MaxChunk caps the readings one ObserveBatch call (one fsync) may
 	// cover (<= 0 selects DefaultMaxChunk).
 	MaxChunk int
-	// MaxDelay is how long a non-full chunk lingers for more frames once
-	// at least one is pending. Zero (the default) flushes as soon as the
-	// queues momentarily drain — batching then comes from frames arriving
-	// during the previous chunk's fsync, the same natural batching stance
-	// as the group committer's commit_delay=0.
-	MaxDelay time.Duration
-	// QueueLen is the decoded-frame buffer between each connection reader
-	// and the shared chunker (<= 0 selects DefaultQueueLen). A full queue
-	// applies backpressure to that connection.
-	QueueLen int
 }
 
 func (c IngestConfig) normalized() IngestConfig {
 	if c.MaxChunk <= 0 {
 		c.MaxChunk = DefaultMaxChunk
-	}
-	if c.QueueLen <= 0 {
-		c.QueueLen = DefaultQueueLen
 	}
 	return c
 }
@@ -249,12 +243,11 @@ func (ing *Ingestor) RunFramedSession(fr FrameReader, aw AckWriter, sess *Ingest
 	if ing.draining.Load() {
 		a := Ack{Final: true, Error: ErrDraining.Error()}
 		if sess != nil {
-			a.Resume = sess.Applied()
+			sess.stamp(&a)
 		}
 		_ = aw.WriteAck(&a)
 		return ErrDraining
 	}
-	cfg := ing.Config.normalized()
 	if ing.Counters != nil {
 		ing.Counters.conns.Add(1)
 		ing.Counters.totalConns.Add(1)
@@ -262,7 +255,7 @@ func (ing *Ingestor) RunFramedSession(fr FrameReader, aw AckWriter, sess *Ingest
 	}
 
 	c := &ingestConn{
-		frames: make(chan connFrame, cfg.QueueLen),
+		frames: make(chan connFrame, DefaultQueueLen),
 		sess:   sess,
 		ackCh:  make(chan struct{}, 1),
 		done:   make(chan struct{}),
@@ -270,7 +263,8 @@ func (ing *Ingestor) RunFramedSession(fr FrameReader, aw AckWriter, sess *Ingest
 	if sess != nil {
 		sess.attach(c)
 		defer sess.detach(c)
-		hello := Ack{Resume: sess.Applied(), Seq: ing.Target.ReplicationInfo().TotalSeq}
+		hello := Ack{Seq: ing.Target.ReplicationInfo().TotalSeq}
+		sess.stamp(&hello)
 		if err := aw.WriteAck(&hello); err != nil {
 			return err
 		}
@@ -454,25 +448,6 @@ func (ing *Ingestor) chunker(cfg IngestConfig) {
 		if !gather() {
 			return
 		}
-		if cfg.MaxDelay > 0 && len(batch) > 0 && len(batch) < cfg.MaxChunk {
-			// Linger for more frames, re-gathering on every wake until
-			// the chunk fills or the delay elapses.
-			timer := time.NewTimer(cfg.MaxDelay)
-		linger:
-			for len(batch) < cfg.MaxChunk {
-				select {
-				case <-ing.wake:
-					if !gather() {
-						timer.Stop()
-						return
-					}
-				case <-timer.C:
-					break linger
-				}
-			}
-			timer.Stop()
-		}
-
 		worked := len(batch) > 0 || len(spans) > 0
 		if len(batch) > 0 || len(spans) > 0 {
 			var outcomes []core.ObserveOutcome
@@ -511,20 +486,18 @@ func (ing *Ingestor) chunker(cfg IngestConfig) {
 				seq := ing.Target.ReplicationInfo().TotalSeq
 				off := 0
 				for _, sp := range spans {
-					resume := sp.last
-					if sp.skip > resume {
-						resume = sp.skip
-					}
-					if resume > 0 && sp.c.sess != nil {
-						sp.c.sess.advanceApplied(resume)
+					outs := outcomes[off : off+sp.n]
+					if sp.c.sess != nil {
+						sp.c.sess.fold(max(sp.last, sp.skip), outs)
 					}
 					sp.c.mu.Lock()
-					foldOutcomes(&sp.c.cum, outcomes[off:off+sp.n])
+					if sp.c.sess != nil {
+						sp.c.sess.stamp(&sp.c.cum)
+					} else {
+						foldOutcomes(&sp.c.cum, outs)
+					}
 					sp.c.cum.Acked += uint64(sp.n)
 					sp.c.cum.Seq = seq
-					if resume > sp.c.cum.Resume {
-						sp.c.cum.Resume = resume
-					}
 					sp.c.mu.Unlock()
 					select {
 					case sp.c.ackCh <- struct{}{}:
@@ -533,8 +506,17 @@ func (ing *Ingestor) chunker(cfg IngestConfig) {
 					off += sp.n
 				}
 				if ing.Counters != nil && len(batch) > 0 {
+					// Tallied per fold, not per connection: each applied
+					// frame's outcome counts exactly once, however many
+					// connections its session spans.
+					var t Ack
+					foldOutcomes(&t, outcomes)
 					ing.Counters.frames.Add(uint64(len(batch)))
 					ing.Counters.chunks.Add(1)
+					ing.Counters.granted.Add(t.Granted)
+					ing.Counters.denied.Add(t.Denied)
+					ing.Counters.moved.Add(t.Moved)
+					ing.Counters.errs.Add(t.Errors)
 				}
 			}
 		}
@@ -632,9 +614,9 @@ func (ing *Ingestor) Drain() {
 
 // finalize seals a connection's cumulative ack — the terminal Seq is the
 // durable frontier even for a connection that shipped no frames, so an
-// idle client still gets a resume coordinate — tallies it into the
-// shared counters, and releases the writer. Safe to call twice (batch
-// failure then the closed-source sweep): only the first call acts.
+// idle client still gets a resume coordinate — and releases the writer.
+// Safe to call twice (batch failure then the closed-source sweep): only
+// the first call acts.
 func (ing *Ingestor) finalize(c *ingestConn, err error) {
 	c.mu.Lock()
 	if c.cum.Final {
@@ -644,12 +626,10 @@ func (ing *Ingestor) finalize(c *ingestConn, err error) {
 	c.cum.Final = true
 	if c.sess != nil {
 		// The terminal ack always states the session's durable frame
-		// high-water — even for a connection whose every frame was a
-		// deduplicated resend (no fold ever touched its cum), the client
-		// must learn where to resume from.
-		if r := c.sess.Applied(); r > c.cum.Resume {
-			c.cum.Resume = r
-		}
+		// high-water and totals — even for a connection whose every frame
+		// was a deduplicated resend (no fold ever touched its cum), the
+		// client must learn where to resume from.
+		c.sess.stamp(&c.cum)
 	}
 	if err != nil {
 		c.err = err
@@ -660,14 +640,7 @@ func (ing *Ingestor) finalize(c *ingestConn, err error) {
 	} else {
 		c.cum.Seq = ing.Target.ReplicationInfo().TotalSeq
 	}
-	cum := c.cum
 	c.mu.Unlock()
-	if ing.Counters != nil {
-		ing.Counters.granted.Add(cum.Granted)
-		ing.Counters.denied.Add(cum.Denied)
-		ing.Counters.moved.Add(cum.Moved)
-		ing.Counters.errs.Add(cum.Errors)
-	}
 	close(c.done)
 }
 

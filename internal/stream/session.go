@@ -25,6 +25,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/core"
 )
 
 // IngestSession is one logical ingest stream's resume state. Create via
@@ -32,7 +34,7 @@ import (
 type IngestSession struct {
 	// applied is the durable high-water: the largest ObserveFrame.Seq
 	// whose effects are fsynced. Advanced only at fold time, after the
-	// chunk's commit barrier.
+	// chunk's commit barrier, under mu.
 	applied atomic.Uint64
 	// hw is the gather high-water — the largest Seq already pulled into
 	// a chunk. It dedupes re-sent frames that race the previous
@@ -45,6 +47,12 @@ type IngestSession struct {
 
 	mu  sync.Mutex
 	cur *ingestConn // the attached live connection, if any
+	// out holds the session's cumulative outcome counters
+	// (Granted/Denied/Moved/Errors/LastError), folded with applied. Every
+	// ack of a session connection, the hello included, carries them, so
+	// the latest ack a client holds is the session's exact total across
+	// reconnects.
+	out Ack
 	// idleSince is when the last connection detached (zero while one is
 	// attached); the registry's TTL sweep measures idleness from it.
 	idleSince time.Time
@@ -61,6 +69,25 @@ func (s *IngestSession) advanceApplied(seq uint64) {
 			return
 		}
 	}
+}
+
+// fold records one durable chunk fold: the frame high-water advances to
+// resume and outs join the outcome totals. Only the chunker calls it.
+func (s *IngestSession) fold(resume uint64, outs []core.ObserveOutcome) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.advanceApplied(resume)
+	foldOutcomes(&s.out, outs)
+}
+
+// stamp writes the session's position into a: the durable frame
+// high-water (when ahead of a.Resume) and the outcome totals.
+func (s *IngestSession) stamp(a *Ack) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	a.Resume = max(a.Resume, s.applied.Load())
+	a.Granted, a.Denied, a.Moved = s.out.Granted, s.out.Denied, s.out.Moved
+	a.Errors, a.LastError = s.out.Errors, s.out.LastError
 }
 
 // attach makes c the session's live connection, stealing the session

@@ -8,10 +8,10 @@
 //
 //   - Ingest (ingest.go): a client streams ObserveFrame readings over a
 //     single connection; the server chunks them into ObserveBatch calls
-//     under a MaxChunk/MaxDelay policy (mirroring the group committer's
-//     knobs) and writes back cumulative Ack frames carrying the durable
-//     record sequence — the client learns exactly which prefix of its
-//     stream survives a crash.
+//     of at most MaxChunk readings (mirroring the group committer's
+//     batch bound) and writes back cumulative Ack frames carrying the
+//     durable record sequence — the client learns exactly which prefix
+//     of its stream survives a crash.
 //
 //   - Subscribe (bus.go): a Bus tails the primary's WAL — the committed
 //     history, in the exact order every replica applies it — decodes
@@ -54,7 +54,8 @@ type ObserveFrame struct {
 }
 
 // Ack is one server→client line on the ingest stream, written after
-// every applied chunk. All counters are CUMULATIVE over the connection,
+// every applied chunk. All counters are CUMULATIVE over the connection —
+// the outcome counters of a session connection over the whole session —
 // so a client needs only the latest ack to know its position:
 // the first Acked frames of its stream are applied, and every WAL
 // record they produced is durable up to sequence Seq.

@@ -72,7 +72,8 @@ type ResumableObserver struct {
 	// primary instead of hammering the dead one. The session token is
 	// kept — but a new primary has no memory of it, so its hello resumes
 	// at 0 and the whole un-acked suffix is re-sent: the un-acked window
-	// degrades to at-least-once across promotion (DESIGN.md D15).
+	// degrades to at-least-once across promotion (DESIGN.md D15), and the
+	// outcome totals restart at the new primary's count.
 	pick func() *Client
 
 	// Patience bounds how long one repair (redial + hello + re-send)
@@ -81,10 +82,13 @@ type ResumableObserver struct {
 	Patience time.Duration
 
 	obs     *StreamObserver
-	nextSeq uint64               // last assigned frame sequence
+	nextSeq uint64                // last assigned frame sequence
 	buf     []stream.ObserveFrame // un-acked suffix, ascending Seq
-	durable uint64               // session durable high-water (max of hellos and acks)
-	base    stream.Ack           // counters folded from finished connections
+	durable uint64                // session durable high-water (max of hellos and acks)
+	// last is the latest ack of an abandoned connection. Every ack of a
+	// session connection carries the session's outcome totals, so the
+	// newest ack seen is the running total — no client-side summing.
+	last stream.Ack
 
 	reconnects uint64
 	closed     bool
@@ -170,10 +174,7 @@ func (ro *ResumableObserver) redial() error {
 // backoff until Patience runs out. Called with a nil (or abandoned)
 // ro.obs.
 func (ro *ResumableObserver) repair() error {
-	if ro.obs != nil {
-		ro.foldFinished()
-		ro.obs = nil
-	}
+	ro.drop()
 	ro.reconnects++
 	deadline := time.Now().Add(ro.Patience)
 	backoff := resumeBackoffMin
@@ -199,27 +200,14 @@ func (ro *ResumableObserver) repair() error {
 	}
 }
 
-// foldFinished accumulates a finished connection's outcome counters into
-// base, so Ack() stays roughly cumulative across reconnects. (Counters
-// for frames applied but never acked before a cut are lost — Acked,
-// Resume and Seq are the exact fields; the outcome tallies are
-// best-effort across failures.)
-func (ro *ResumableObserver) foldFinished() {
+// drop abandons the current connection, keeping its latest ack.
+func (ro *ResumableObserver) drop() {
 	if ro.obs == nil {
 		return
 	}
-	a := ro.obs.Ack()
-	ro.noteDurable(a.Resume)
-	ro.base.Granted += a.Granted
-	ro.base.Denied += a.Denied
-	ro.base.Moved += a.Moved
-	ro.base.Errors += a.Errors
-	if a.LastError != "" {
-		ro.base.LastError = a.LastError
-	}
-	if a.Seq > ro.base.Seq {
-		ro.base.Seq = a.Seq
-	}
+	ro.last = ro.obs.Ack()
+	ro.noteDurable(ro.last.Resume)
+	ro.obs = nil
 }
 
 func (ro *ResumableObserver) noteDurable(r uint64) {
@@ -292,7 +280,8 @@ func (ro *ResumableObserver) Flush() error {
 // Ack returns the latest cumulative position. Acked is the number of
 // this session's frames durably applied (== the resume high-water,
 // since sequences are dense from 1); Seq is the primary's durable
-// record sequence; the outcome counters aggregate across connections.
+// record sequence; the outcome counters are the session's totals, as
+// the server reports them on every ack.
 // A connection found dead while polling is repaired in place (the
 // redial re-sends the un-acked suffix), so an idle wait-for-ack loop
 // makes progress across kills too.
@@ -300,22 +289,12 @@ func (ro *ResumableObserver) Ack() stream.Ack {
 	if !ro.closed && !ro.live() {
 		_ = ro.repair() // best effort; the next poll retries
 	}
-	var cur stream.Ack
+	a := ro.last
 	if ro.obs != nil {
-		cur = ro.obs.Ack()
+		a = ro.obs.Ack() // at least the hello, which is newer than last
 	}
-	ro.noteDurable(cur.Resume)
-	a := ro.base
-	a.Granted += cur.Granted
-	a.Denied += cur.Denied
-	a.Moved += cur.Moved
-	a.Errors += cur.Errors
-	if cur.LastError != "" {
-		a.LastError = cur.LastError
-	}
-	if cur.Seq > a.Seq {
-		a.Seq = cur.Seq
-	}
+	ro.noteDurable(a.Resume)
+	a.Final, a.Error = false, ""
 	a.Acked = ro.durable
 	a.Resume = ro.durable
 	return a
@@ -344,9 +323,8 @@ func (ro *ResumableObserver) Close() (stream.Ack, error) {
 		}
 		a, err := ro.obs.Close()
 		ro.noteDurable(a.Resume)
+		ro.drop()
 		if err == nil {
-			ro.foldFinished()
-			ro.obs = nil
 			if ro.durable >= ro.nextSeq {
 				ro.trim()
 				fin := ro.Ack()
@@ -355,8 +333,6 @@ func (ro *ResumableObserver) Close() (stream.Ack, error) {
 			}
 			err = fmt.Errorf("wire: resumable observe: final ack covers %d of %d frames", ro.durable, ro.nextSeq)
 		}
-		ro.foldFinished()
-		ro.obs = nil
 		if time.Now().After(deadline) {
 			ro.err = err
 			return ro.Ack(), err
