@@ -293,3 +293,45 @@ func TestConcurrentLockFreeReads(t *testing.T) {
 		}
 	}
 }
+
+// TestRevokeIfUnderRacingWriters: RevokeIf evaluates its predicate on
+// published state without a lock and retries a shard another writer
+// published over first, so with Add/Revoke churning the same shards it
+// still removes exactly the matching authorizations, once each.
+func TestRevokeIfUnderRacingWriters(t *testing.T) {
+	st, subs, locs := shardFixture(t, 8, 4, 1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 300; i++ {
+			a, err := st.Add(New(interval.New(1, 5), interval.New(1, 9), subs[i%len(subs)], locs[i%len(locs)], 1))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := st.Revoke(a.ID); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	sweep := func(a Authorization) bool { return a.DerivedBy == "sweep" }
+	for i := 0; i < 100; i++ {
+		batch := make([]Authorization, len(subs))
+		for j, s := range subs {
+			batch[j] = New(interval.New(1, 5), interval.New(1, 9), s, locs[(i+j)%len(locs)], 1)
+			batch[j].DerivedBy, batch[j].BaseID = "sweep", 1
+		}
+		if _, err := st.AddAll(batch); err != nil {
+			t.Fatal(err)
+		}
+		if n := st.RevokeIf(sweep); n != len(batch) {
+			t.Fatalf("round %d: RevokeIf removed %d, want %d", i, n, len(batch))
+		}
+	}
+	wg.Wait()
+	if n := st.Len(); n != len(subs)*len(locs) {
+		t.Errorf("len = %d, want the fixture's %d", n, len(subs)*len(locs))
+	}
+}

@@ -1,11 +1,13 @@
 package authz
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"maps"
 	"math/bits"
-	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -23,201 +25,245 @@ type subjectLocation struct {
 	l graph.ID
 }
 
+// Every index table has 256 buckets, reached through a 16-way root and
+// 16-way mid nodes: a write copies the root, one mid node and one bucket
+// per index, so its cost follows the bucket size, about n/(256·shards)
+// keys, instead of the n/shards a whole-shard copy costs.
+const (
+	radixBits  = 4
+	radix      = 1 << radixBits
+	bucketBits = 2 * radixBits
+	fanout     = 1 << bucketBits
+)
+
+// table is a persistent hash map of fixed shape: a root of radix mid
+// nodes, each of radix bucket maps, the bucket chosen by a key hash. A
+// published table, its mid nodes and its buckets are never written, so
+// copying the root shares everything below it; a writer replaces just
+// the nodes on the path to each bucket it touches (see writer).
+type table[K comparable, V any] [radix]*[radix]map[K]V
+
+// bucket returns bucket i, nil when absent.
+func (t *table[K, V]) bucket(i uint64) map[K]V {
+	if mid := t[i/radix]; mid != nil {
+		return mid[i%radix]
+	}
+	return nil
+}
+
+// buckets yields every bucket of t.
+func (t *table[K, V]) buckets(yield func(map[K]V) bool) {
+	for _, mid := range t {
+		if mid == nil {
+			continue
+		}
+		for _, b := range mid {
+			if !yield(b) {
+				return
+			}
+		}
+	}
+}
+
+// bucketOf picks a bucket from the top bits of a key hash. The shard is
+// chosen by the low bits of the same subject hash, so a shard's subjects
+// still spread over all its buckets.
+func bucketOf(h uint64) uint64 { return h >> (64 - bucketBits) }
+
+// idBucket picks a byID bucket: IDs are assigned sequentially, so their
+// low bits spread evenly without hashing.
+func idBucket(id ID) uint64 { return uint64(id) % fanout }
+
 // shardData is one shard's immutable index state. A published shardData
-// is never mutated: writers clone it, apply their change to the clone
-// (replacing any slice they touch with a fresh one), and publish the
-// clone through the shard's atomic pointer. Readers therefore navigate
-// the maps without any lock — the RCU discipline behind the store's
-// lock-free read path.
+// is never mutated: a writer copies the table roots, replaces the nodes
+// and buckets it touches with private copies (and any index slice it
+// touches with a fresh one), and publishes the result through the
+// shard's atomic pointer. Readers therefore navigate the tables without
+// any lock — the RCU discipline behind the store's lock-free read path.
 //
-// byPair holds fully materialised authorizations (not IDs): because the
-// published state is immutable, For can hand the interior slice straight
-// to the caller — the Def.-7 decision path costs one map lookup and zero
-// allocations. The subject and location indexes keep ID lists and
-// materialise on read (they serve fan-out queries, not decisions).
+// byPair is bucketed by the subject hash that also picks the shard, so
+// For costs that one string hash plus one map probe, and every pair of a
+// subject lives in one bucket — which is all BySubject needs, so there
+// is no subject index. byPair holds fully materialised authorizations
+// (not IDs): because the published state is immutable, For can hand the
+// interior slice straight to the caller — the Def.-7 decision path
+// allocates nothing. The location index keeps ID lists, sorted by ID,
+// and materialises on read (it serves fan-out queries, not decisions).
 type shardData struct {
-	byID       map[ID]Authorization
-	bySubject  map[profile.SubjectID][]ID
-	byLocation map[graph.ID][]ID
-	byPair     map[subjectLocation][]Authorization
+	n          int // authorizations in the shard
+	byID       table[ID, Authorization]
+	byLocation table[graph.ID, []ID]
+	byPair     table[subjectLocation, []Authorization]
 }
 
-func newShardData() *shardData {
-	return &shardData{
-		byID:       make(map[ID]Authorization),
-		bySubject:  make(map[profile.SubjectID][]ID),
-		byLocation: make(map[graph.ID][]ID),
-		byPair:     make(map[subjectLocation][]Authorization),
-	}
+func (d *shardData) get(id ID) (Authorization, bool) {
+	a, ok := d.byID.bucket(idBucket(id))[id]
+	return a, ok
 }
 
-// clone shallow-copies the maps. Slice values are shared with the
-// original and must be replaced — never appended to in place — by the
-// writer (see appendID/removeID).
-func (d *shardData) clone() *shardData {
-	c := &shardData{
-		byID:       make(map[ID]Authorization, len(d.byID)+1),
-		bySubject:  make(map[profile.SubjectID][]ID, len(d.bySubject)+1),
-		byLocation: make(map[graph.ID][]ID, len(d.byLocation)+1),
-		byPair:     make(map[subjectLocation][]Authorization, len(d.byPair)+1),
-	}
-	for k, v := range d.byID {
-		c.byID[k] = v
-	}
-	for k, v := range d.bySubject {
-		c.bySubject[k] = v
-	}
-	for k, v := range d.byLocation {
-		c.byLocation[k] = v
-	}
-	for k, v := range d.byPair {
-		c.byPair[k] = v
-	}
-	return c
+// pair returns the (s, l) list; h is s's hash.
+func (d *shardData) pair(h uint64, s profile.SubjectID, l graph.ID) []Authorization {
+	return d.byPair.bucket(bucketOf(h))[subjectLocation{s, l}]
 }
 
-// appendID replaces m[k] with a fresh slice ending in id. IDs are
-// assigned monotonically, so appending keeps every index list sorted.
-func appendID[K comparable](m map[K][]ID, k K, id ID) {
-	old := m[k]
-	next := make([]ID, len(old)+1)
-	copy(next, old)
-	next[len(old)] = id
-	m[k] = next
-}
-
-// removeID replaces m[k] with a fresh slice without id, deleting the key
-// when the list empties.
-func removeID[K comparable](m map[K][]ID, k K, id ID) {
-	old := m[k]
-	if len(old) == 1 && old[0] == id {
-		delete(m, k)
-		return
-	}
-	next := make([]ID, 0, len(old)-1)
-	for _, v := range old {
-		if v != id {
-			next = append(next, v)
+// subject returns s's authorizations in ID order; h is s's hash.
+func (d *shardData) subject(h uint64, s profile.SubjectID) []Authorization {
+	var out []Authorization
+	for k, auths := range d.byPair.bucket(bucketOf(h)) {
+		if k.s == s {
+			out = append(out, auths...)
 		}
 	}
-	m[k] = next
+	sortAuths(out)
+	return out
 }
 
-func (d *shardData) insert(a Authorization) {
-	d.byID[a.ID] = a
-	appendID(d.bySubject, a.Subject, a.ID)
-	appendID(d.byLocation, a.Location, a.ID)
-	key := subjectLocation{a.Subject, a.Location}
-	old := d.byPair[key]
-	next := make([]Authorization, len(old)+1)
-	copy(next, old)
-	next[len(old)] = a
-	d.byPair[key] = next
-}
-
-func (d *shardData) remove(a Authorization) {
-	delete(d.byID, a.ID)
-	removeID(d.bySubject, a.Subject, a.ID)
-	removeID(d.byLocation, a.Location, a.ID)
-	key := subjectLocation{a.Subject, a.Location}
-	old := d.byPair[key]
-	if len(old) == 1 && old[0].ID == a.ID {
-		delete(d.byPair, key)
-		return
-	}
-	next := make([]Authorization, 0, len(old)-1)
-	for _, v := range old {
-		if v.ID != a.ID {
-			next = append(next, v)
-		}
-	}
-	d.byPair[key] = next
-}
-
-// insertAll inserts a batch (IDs ascending in input order) rebuilding
-// each touched index slice exactly once, so a k-record batch into one
-// key costs O(old+k), not O(k·old).
-func (d *shardData) insertAll(batch []Authorization) {
-	subjAdds := make(map[profile.SubjectID][]ID)
-	locAdds := make(map[graph.ID][]ID)
-	pairAdds := make(map[subjectLocation][]Authorization)
-	for _, a := range batch {
-		d.byID[a.ID] = a
-		subjAdds[a.Subject] = append(subjAdds[a.Subject], a.ID)
-		locAdds[a.Location] = append(locAdds[a.Location], a.ID)
-		k := subjectLocation{a.Subject, a.Location}
-		pairAdds[k] = append(pairAdds[k], a)
-	}
-	// A concurrent single Add may have assigned (and published) a higher
-	// ID between this batch's ID assignment and its insert, so the
-	// concatenation is not guaranteed sorted — re-sort any list the
-	// guard catches (rare: only under racing writers).
-	for k, add := range subjAdds {
-		ids := concatFresh(d.bySubject[k], add)
-		if !sortedIDs(ids) {
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		}
-		d.bySubject[k] = ids
-	}
-	for k, add := range locAdds {
-		ids := concatFresh(d.byLocation[k], add)
-		if !sortedIDs(ids) {
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		}
-		d.byLocation[k] = ids
-	}
-	for k, add := range pairAdds {
-		auths := concatFresh(d.byPair[k], add)
-		if !sortedAuthIDs(auths) {
-			sortAuths(auths)
-		}
-		d.byPair[k] = auths
-	}
-}
-
-func sortedIDs(ids []ID) bool {
-	for i := 1; i < len(ids); i++ {
-		if ids[i-1] > ids[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sortedAuthIDs(auths []Authorization) bool {
-	for i := 1; i < len(auths); i++ {
-		if auths[i-1].ID > auths[i].ID {
-			return false
-		}
-	}
-	return true
-}
-
-// concatFresh returns a fresh slice old++add — never appending in place,
-// preserving the immutability of published slices.
-func concatFresh[T any](old, add []T) []T {
-	next := make([]T, 0, len(old)+len(add))
-	next = append(next, old...)
-	return append(next, add...)
-}
-
-// collect resolves an index list against this shard's byID, preserving
-// the list's ID order (index lists are kept sorted, so no sort here —
-// this is the Def.-7 fast path).
-func (d *shardData) collect(ids []ID) []Authorization {
-	if len(ids) == 0 {
-		return nil
-	}
-	return d.appendCollect(make([]Authorization, 0, len(ids)), ids)
-}
-
+// appendCollect resolves a location's ID list against byID, preserving
+// its ID order.
 func (d *shardData) appendCollect(dst []Authorization, ids []ID) []Authorization {
 	for _, id := range ids {
-		if a, ok := d.byID[id]; ok {
+		if a, ok := d.get(id); ok {
 			dst = append(dst, a)
 		}
 	}
 	return dst
+}
+
+// match returns the shard's authorizations satisfying pred.
+func (d *shardData) match(pred func(Authorization) bool) []Authorization {
+	var out []Authorization
+	for b := range d.byID.buckets {
+		for _, a := range b {
+			if pred(a) {
+				out = append(out, a)
+			}
+		}
+	}
+	return out
+}
+
+// writer builds one write's successor to a shard's published state. The
+// successor starts as a copy of the roots, sharing every node below
+// them; the first touch of a mid node or bucket copies it and marks it
+// owned, and later touches in the same write edit the owned copy in
+// place. Index slices inside an owned bucket may still be shared with
+// the published state, so the writer replaces them and never appends in
+// place.
+type writer struct {
+	d                           *shardData
+	seed                        maphash.Seed
+	ownID, ownLocation, ownPair owned
+}
+
+// owned marks the mid nodes and buckets of one table a writer has copied.
+type owned struct {
+	mids    uint64
+	buckets [fanout / 64]uint64
+}
+
+// edit returns bucket i of t for writing, copying the path to it on
+// first touch.
+func edit[K comparable, V any](t *table[K, V], o *owned, i uint64) map[K]V {
+	hi, lo := i/radix, i%radix
+	if o.mids&(1<<hi) == 0 {
+		o.mids |= 1 << hi
+		mid := new([radix]map[K]V)
+		if t[hi] != nil {
+			*mid = *t[hi]
+		}
+		t[hi] = mid
+	}
+	mid := t[hi]
+	if o.buckets[i/64]&(1<<(i%64)) == 0 {
+		o.buckets[i/64] |= 1 << (i % 64)
+		if mid[lo] == nil {
+			mid[lo] = make(map[K]V)
+		} else {
+			mid[lo] = maps.Clone(mid[lo])
+		}
+	}
+	return mid[lo]
+}
+
+// bucketOf picks the bucket of a subject or location key.
+func (w *writer) bucketOf(key string) uint64 { return bucketOf(maphash.String(w.seed, key)) }
+
+// insertAll inserts a batch, rebuilding each touched index list once, so
+// a k-record batch into one key costs O(old+k), not O(k·old).
+func (w *writer) insertAll(batch []Authorization) {
+	locAdds := make(map[graph.ID][]ID)
+	pairAdds := make(map[subjectLocation][]Authorization)
+	for _, a := range batch {
+		edit(&w.d.byID, &w.ownID, idBucket(a.ID))[a.ID] = a
+		locAdds[a.Location] = append(locAdds[a.Location], a.ID)
+		k := subjectLocation{a.Subject, a.Location}
+		pairAdds[k] = append(pairAdds[k], a)
+	}
+	w.d.n += len(batch)
+	for l, add := range locAdds {
+		m := edit(&w.d.byLocation, &w.ownLocation, w.bucketOf(string(l)))
+		m[l] = concatSorted(m[l], add, idOf)
+	}
+	for k, add := range pairAdds {
+		m := edit(&w.d.byPair, &w.ownPair, w.bucketOf(string(k.s)))
+		m[k] = concatSorted(m[k], add, authID)
+	}
+}
+
+// removeAll removes victims, all present in the shard, filtering each
+// touched index list once.
+func (w *writer) removeAll(victims []Authorization) {
+	gone := make(map[ID]bool, len(victims))
+	locs := make(map[graph.ID]bool)
+	pairs := make(map[subjectLocation]bool)
+	for _, a := range victims {
+		delete(edit(&w.d.byID, &w.ownID, idBucket(a.ID)), a.ID)
+		gone[a.ID] = true
+		locs[a.Location] = true
+		pairs[subjectLocation{a.Subject, a.Location}] = true
+	}
+	w.d.n -= len(victims)
+	for l := range locs {
+		without(edit(&w.d.byLocation, &w.ownLocation, w.bucketOf(string(l))), l, gone, idOf)
+	}
+	for k := range pairs {
+		without(edit(&w.d.byPair, &w.ownPair, w.bucketOf(string(k.s))), k, gone, authID)
+	}
+}
+
+func idOf(id ID) ID             { return id }
+func authID(a Authorization) ID { return a.ID }
+
+// concatSorted returns a fresh slice old++add — never appending in place,
+// preserving the immutability of published slices. IDs are assigned
+// monotonically, so the concatenation is normally sorted already; it is
+// not after a Restore of arbitrary order, or when a concurrent single Add
+// assigned (and published) a higher ID between a batch's ID assignment
+// and its insert, and then it is re-sorted.
+func concatSorted[T any](old, add []T, id func(T) ID) []T {
+	next := make([]T, 0, len(old)+len(add))
+	next = append(append(next, old...), add...)
+	byID := func(a, b T) int { return cmp.Compare(id(a), id(b)) }
+	if !slices.IsSortedFunc(next, byID) {
+		slices.SortFunc(next, byID)
+	}
+	return next
+}
+
+// without replaces m[k] with a fresh list minus the gone IDs, deleting
+// the key when nothing is left.
+func without[K comparable, T any](m map[K][]T, k K, gone map[ID]bool, id func(T) ID) {
+	keep := make([]T, 0, len(m[k]))
+	for _, v := range m[k] {
+		if !gone[id(v)] {
+			keep = append(keep, v)
+		}
+	}
+	if len(keep) == 0 {
+		delete(m, k)
+		return
+	}
+	m[k] = keep
 }
 
 // shard is one lock stripe: the mutex serialises writers; readers only
@@ -231,16 +277,17 @@ type shard struct {
 // Store is the authorization database of Fig. 3: all authorizations
 // defined by administrators plus those derived by rules, indexed for the
 // three access paths the engine needs — by (subject, location) for access
-// checks, by location for Algorithm 1, and by subject for per-user
-// queries.
+// checks, by location for Algorithm 1, and by subject (the subject's
+// bucket of the pair index) for per-user queries.
 //
 // The store is sharded by subject hash into a power-of-two number of
-// stripes. Mutations lock only their subject's shard, clone that shard's
-// index maps, and publish the new state through an atomic pointer;
-// readers never take a lock — For/BySubject touch exactly one shard's
-// published data, while ByLocation/All/Subjects/FindConflicts fan out
-// over every shard. A View captures all shard pointers at once for
-// callers that need a stable multi-read snapshot (the core read path).
+// stripes. Mutations lock only their subject's shard, copy the roots
+// and the touched paths of that shard's index tables, and publish the
+// new state through an atomic pointer; readers never take a lock —
+// For/BySubject touch exactly one shard's published data, while
+// ByLocation/All/Subjects/FindConflicts fan out over every shard. A View
+// captures all shard pointers at once for callers that need a stable
+// multi-read snapshot (the core read path).
 //
 // Store is safe for concurrent use.
 type Store struct {
@@ -270,18 +317,11 @@ type Store struct {
 	version atomic.Uint64
 }
 
-// DefaultShardCount returns the shard count NewStore picks: GOMAXPROCS
-// rounded up to a power of two, clamped to [1, 64].
-func DefaultShardCount() int {
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		n = 1
-	}
-	if n > 64 {
-		n = 64
-	}
-	return 1 << bits.Len(uint(n-1))
-}
+// DefaultShardCount returns the shard count NewStore picks: a constant
+// 16, so a WAL replays into the same layout on every machine. A write
+// costs the same at any shard size, so the count only sets how many
+// stripes writers contend on.
+func DefaultShardCount() int { return 16 }
 
 // Version returns the store's mutation epoch: it increases on every
 // change to the stored authorization set and is stable between changes.
@@ -303,8 +343,9 @@ func NewStoreWithShards(n int) *Store {
 		mask:   uint64(n - 1),
 		seed:   maphash.MakeSeed(),
 	}
+	empty := new(shardData)
 	for i := range st.shards {
-		st.shards[i].data.Store(newShardData())
+		st.shards[i].data.Store(empty)
 	}
 	return st
 }
@@ -312,17 +353,22 @@ func NewStoreWithShards(n int) *Store {
 // ShardCount returns the number of lock stripes.
 func (st *Store) ShardCount() int { return len(st.shards) }
 
-// shardFor maps a subject to its shard. Every index key embedding the
-// subject (byPair, bySubject) lives wholly in that shard, so the Def.-7
-// lookup For(s, l) touches exactly one stripe.
-func (st *Store) shardFor(s profile.SubjectID) *shard {
-	return &st.shards[maphash.String(st.seed, string(s))&st.mask]
+// shardFor maps a subject to its shard and returns the subject's hash.
+// All of a subject's pair keys live in that shard, so the Def.-7 lookup
+// For(s, l) touches exactly one stripe.
+func (st *Store) shardFor(s profile.SubjectID) (*shard, uint64) {
+	h := maphash.String(st.seed, string(s))
+	return &st.shards[h&st.mask], h
 }
 
-// bump publishes next as sh's state and moves both the shard's and the
-// store's version. Callers hold sh.mu.
-func (st *Store) bump(sh *shard, next *shardData) {
-	sh.data.Store(next)
+// rewrite publishes sh's successor state, built by edit from the
+// current one, and moves both the shard's and the store's version.
+// Callers hold sh.mu.
+func (st *Store) rewrite(sh *shard, edit func(*writer)) {
+	w := &writer{d: new(shardData), seed: st.seed}
+	*w.d = *sh.data.Load()
+	edit(w)
+	sh.data.Store(w.d)
 	sh.version.Add(1)
 	st.version.Add(1)
 }
@@ -334,22 +380,19 @@ func (st *Store) Add(a Authorization) (Authorization, error) {
 	if err := a.Validate(); err != nil {
 		return Authorization{}, err
 	}
-	sh := st.shardFor(a.Subject)
+	sh, _ := st.shardFor(a.Subject)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	a.ID = ID(st.lastID.Add(1))
-	next := sh.data.Load().clone()
-	next.insert(a)
-	st.bump(sh, next)
+	st.rewrite(sh, func(w *writer) { w.insertAll([]Authorization{a}) })
 	return a, nil
 }
 
 // AddAll normalizes, validates and inserts a batch of authorizations,
 // returning the stored values with their assigned IDs in input order.
 // Validation is all-or-nothing and happens before any insert. Each
-// touched shard is cloned exactly once, so bulk writers (rule
-// derivation, conflict resolution sweeps) pay O(shard) copy-on-write
-// cost per batch instead of per record.
+// touched shard publishes once, so readers see a shard's part of the
+// batch whole.
 func (st *Store) AddAll(auths []Authorization) ([]Authorization, error) {
 	if len(auths) == 0 {
 		return nil, nil
@@ -364,23 +407,16 @@ func (st *Store) AddAll(auths []Authorization) ([]Authorization, error) {
 		}
 		out[i] = a
 	}
-	// Assign IDs in input order, then group by shard so each stripe is
-	// cloned and published once.
-	byShard := make(map[*shard][]int)
+	// Assign IDs in input order, then group by shard.
+	byShard := make(map[*shard][]Authorization)
 	for i := range out {
 		out[i].ID = ID(st.lastID.Add(1))
-		sh := st.shardFor(out[i].Subject)
-		byShard[sh] = append(byShard[sh], i)
+		sh, _ := st.shardFor(out[i].Subject)
+		byShard[sh] = append(byShard[sh], out[i])
 	}
-	for sh, idxs := range byShard {
-		batch := make([]Authorization, len(idxs))
-		for j, i := range idxs {
-			batch[j] = out[i]
-		}
+	for sh, batch := range byShard {
 		sh.mu.Lock()
-		next := sh.data.Load().clone()
-		next.insertAll(batch)
-		st.bump(sh, next)
+		st.rewrite(sh, func(w *writer) { w.insertAll(batch) })
 		sh.mu.Unlock()
 	}
 	return out, nil
@@ -391,7 +427,7 @@ func (st *Store) AddAll(auths []Authorization) ([]Authorization, error) {
 // lock-free, and off the Def.-7 hot path (decisions use For).
 func (st *Store) Get(id ID) (Authorization, error) {
 	for i := range st.shards {
-		if a, ok := st.shards[i].data.Load().byID[id]; ok {
+		if a, ok := st.shards[i].data.Load().get(id); ok {
 			return a, nil
 		}
 	}
@@ -403,46 +439,45 @@ func (st *Store) Revoke(id ID) error {
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.Lock()
-		cur := sh.data.Load()
-		a, ok := cur.byID[id]
-		if !ok {
-			sh.mu.Unlock()
-			continue
+		a, ok := sh.data.Load().get(id)
+		if ok {
+			st.rewrite(sh, func(w *writer) { w.removeAll([]Authorization{a}) })
 		}
-		next := cur.clone()
-		next.remove(a)
-		st.bump(sh, next)
 		sh.mu.Unlock()
-		return nil
+		if ok {
+			return nil
+		}
 	}
 	return fmt.Errorf("%w: %d", ErrNotFound, id)
 }
 
-// RevokeDerivedBy removes every authorization derived by the named rule
-// and returns how many were removed. The rule engine calls this before
-// re-deriving, implementing Example 1's automatic revocation when the
-// underlying profile changes.
-func (st *Store) RevokeDerivedBy(rule string) int {
+// RevokeIf removes every authorization for which pred returns true and
+// returns how many it removed — the rule engine's revocation of a rule's
+// output (Example 1) and of a revoked base's derived children. Each
+// shard holding a match is rewritten once. pred runs on the shard's
+// published state with no lock held; if a concurrent writer publishes
+// over that state before the rewrite, the shard is scanned again, so
+// the removal applies to exactly the state pred saw.
+func (st *Store) RevokeIf(pred func(Authorization) bool) int {
 	removed := 0
 	for i := range st.shards {
 		sh := &st.shards[i]
-		sh.mu.Lock()
-		cur := sh.data.Load()
-		var victims []Authorization
-		for _, a := range cur.byID {
-			if a.DerivedBy == rule {
-				victims = append(victims, a)
+		for {
+			cur := sh.data.Load()
+			victims := cur.match(pred)
+			if len(victims) == 0 {
+				break
 			}
-		}
-		if len(victims) > 0 {
-			next := cur.clone()
-			for _, a := range victims {
-				next.remove(a)
+			sh.mu.Lock()
+			if sh.data.Load() != cur {
+				sh.mu.Unlock()
+				continue
 			}
-			st.bump(sh, next)
+			st.rewrite(sh, func(w *writer) { w.removeAll(victims) })
+			sh.mu.Unlock()
 			removed += len(victims)
+			break
 		}
-		sh.mu.Unlock()
 	}
 	return removed
 }
@@ -454,20 +489,21 @@ func (st *Store) RevokeDerivedBy(rule string) int {
 // the returned slice is the immutable published index itself and must be
 // treated as read-only.
 func (st *Store) For(s profile.SubjectID, l graph.ID) []Authorization {
-	return st.shardFor(s).data.Load().byPair[subjectLocation{s, l}]
+	sh, h := st.shardFor(s)
+	return sh.data.Load().pair(h, s, l)
 }
 
 // AppendFor appends the authorizations for (s, l) to dst, in ID order —
 // the batched form of For for callers that gather many lookups into one
 // owned backing slice (Algorithm 1's per-location gather).
 func (st *Store) AppendFor(dst []Authorization, s profile.SubjectID, l graph.ID) []Authorization {
-	return append(dst, st.shardFor(s).data.Load().byPair[subjectLocation{s, l}]...)
+	return append(dst, st.For(s, l)...)
 }
 
 // BySubject returns all authorizations for subject s, sorted by ID.
 func (st *Store) BySubject(s profile.SubjectID) []Authorization {
-	d := st.shardFor(s).data.Load()
-	return d.collect(d.bySubject[s])
+	sh, h := st.shardFor(s)
+	return sh.data.Load().subject(h, s)
 }
 
 // ByLocation returns all authorizations on location l, sorted by ID —
@@ -492,7 +528,7 @@ func (st *Store) All() []Authorization {
 func (st *Store) Len() int {
 	n := 0
 	for i := range st.shards {
-		n += len(st.shards[i].data.Load().byID)
+		n += st.shards[i].data.Load().n
 	}
 	return n
 }
@@ -523,10 +559,7 @@ func (st *Store) Restore(auths []Authorization, nextID ID) error {
 		}
 	}()
 
-	fresh := make([]*shardData, len(st.shards))
-	for i := range fresh {
-		fresh[i] = newShardData()
-	}
+	groups := make([][]Authorization, len(st.shards))
 	seen := make(map[ID]bool, len(auths))
 	var last ID
 	err := func() error {
@@ -542,7 +575,8 @@ func (st *Store) Restore(auths []Authorization, nextID ID) error {
 			if err := a.Validate(); err != nil {
 				return fmt.Errorf("authz: restore %d: %w", a.ID, err)
 			}
-			fresh[maphash.String(st.seed, string(a.Subject))&st.mask].insert(a)
+			i := maphash.String(st.seed, string(a.Subject)) & st.mask
+			groups[i] = append(groups[i], a)
 			if a.ID > last {
 				last = a.ID
 			}
@@ -551,26 +585,22 @@ func (st *Store) Restore(auths []Authorization, nextID ID) error {
 	}()
 	if err != nil {
 		// Even a failed restore clears the store (the pre-shard code
-		// mutated in place); publish the partial rebuild and bump the
-		// epoch so caches never serve the old state.
+		// mutated in place); publish empty shards and bump the epoch so
+		// caches never serve the old state.
+		empty := new(shardData)
 		for i := range st.shards {
-			st.shards[i].data.Store(newShardData())
+			st.shards[i].data.Store(empty)
 			st.shards[i].version.Add(1)
 		}
 		st.version.Add(1)
 		return err
 	}
-	// Restore input order is arbitrary — sort each index list by ID to
-	// re-establish the sorted invariant insertion relies on.
-	for _, d := range fresh {
-		sortIDLists(d.bySubject)
-		sortIDLists(d.byLocation)
-		for _, auths := range d.byPair {
-			sortAuths(auths)
-		}
-	}
+	// Restore input order is arbitrary; insertAll re-sorts each index
+	// list by ID.
 	for i := range st.shards {
-		st.shards[i].data.Store(fresh[i])
+		w := &writer{d: new(shardData), seed: st.seed}
+		w.insertAll(groups[i])
+		st.shards[i].data.Store(w.d)
 		st.shards[i].version.Add(1)
 	}
 	st.version.Add(1)
@@ -579,12 +609,6 @@ func (st *Store) Restore(auths []Authorization, nextID ID) error {
 	}
 	st.lastID.Store(uint64(last))
 	return nil
-}
-
-func sortIDLists[K comparable](m map[K][]ID) {
-	for _, ids := range m {
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	}
 }
 
 // ShardStat describes one stripe for the stats endpoint.
@@ -612,7 +636,7 @@ func (st *Store) Stats() StoreStats {
 		PerShard: make([]ShardStat, len(st.shards)),
 	}
 	for i := range st.shards {
-		n := len(st.shards[i].data.Load().byID)
+		n := st.shards[i].data.Load().n
 		out.Auths += n
 		out.PerShard[i] = ShardStat{Auths: n, Version: st.shards[i].version.Load()}
 	}
@@ -655,35 +679,39 @@ func (st *Store) View() *View {
 // Version returns the store epoch observed at capture time.
 func (v *View) Version() uint64 { return v.version }
 
-func (v *View) shardFor(s profile.SubjectID) *shardData {
-	return v.data[maphash.String(v.seed, string(s))&v.mask]
+// shardFor returns s's captured shard and s's hash.
+func (v *View) shardFor(s profile.SubjectID) (*shardData, uint64) {
+	h := maphash.String(v.seed, string(s))
+	return v.data[h&v.mask], h
 }
 
 // For returns the authorizations for subject s at location l, in ID
 // order, as of the capture. The returned slice is the view's immutable
 // index itself — read-only, zero-allocation.
 func (v *View) For(s profile.SubjectID, l graph.ID) []Authorization {
-	return v.shardFor(s).byPair[subjectLocation{s, l}]
+	d, h := v.shardFor(s)
+	return d.pair(h, s, l)
 }
 
 // AppendFor appends the authorizations for (s, l) to dst in ID order —
 // see Store.AppendFor.
 func (v *View) AppendFor(dst []Authorization, s profile.SubjectID, l graph.ID) []Authorization {
-	return append(dst, v.shardFor(s).byPair[subjectLocation{s, l}]...)
+	return append(dst, v.For(s, l)...)
 }
 
 // BySubject returns all authorizations for subject s, in ID order.
 func (v *View) BySubject(s profile.SubjectID) []Authorization {
-	d := v.shardFor(s)
-	return d.collect(d.bySubject[s])
+	d, h := v.shardFor(s)
+	return d.subject(h, s)
 }
 
 // ByLocation returns all authorizations on location l, in ID order,
 // merged across shards.
 func (v *View) ByLocation(l graph.ID) []Authorization {
+	b := bucketOf(maphash.String(v.seed, string(l)))
 	var out []Authorization
 	for _, d := range v.data {
-		out = d.appendCollect(out, d.byLocation[l])
+		out = d.appendCollect(out, d.byLocation.bucket(b)[l])
 	}
 	sortAuths(out)
 	return out
@@ -692,7 +720,7 @@ func (v *View) ByLocation(l graph.ID) []Authorization {
 // Get returns the authorization with the given ID.
 func (v *View) Get(id ID) (Authorization, error) {
 	for _, d := range v.data {
-		if a, ok := d.byID[id]; ok {
+		if a, ok := d.get(id); ok {
 			return a, nil
 		}
 	}
@@ -703,8 +731,10 @@ func (v *View) Get(id ID) (Authorization, error) {
 func (v *View) All() []Authorization {
 	out := make([]Authorization, 0, v.Len())
 	for _, d := range v.data {
-		for _, a := range d.byID {
-			out = append(out, a)
+		for b := range d.byID.buckets {
+			for _, a := range b {
+				out = append(out, a)
+			}
 		}
 	}
 	sortAuths(out)
@@ -715,7 +745,7 @@ func (v *View) All() []Authorization {
 func (v *View) Len() int {
 	n := 0
 	for _, d := range v.data {
-		n += len(d.byID)
+		n += d.n
 	}
 	return n
 }
@@ -725,14 +755,14 @@ func (v *View) Len() int {
 func (v *View) Subjects() []profile.SubjectID {
 	var out []profile.SubjectID
 	for _, d := range v.data {
-		for s, ids := range d.bySubject {
-			if len(ids) > 0 {
-				out = append(out, s)
+		for b := range d.byPair.buckets {
+			for k := range b {
+				out = append(out, k.s)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 func sortAuths(a []Authorization) {
@@ -768,8 +798,10 @@ func (v *View) FindConflicts() []Conflict {
 	var out []Conflict
 	var keys []subjectLocation
 	for _, d := range v.data {
-		for k := range d.byPair {
-			keys = append(keys, k)
+		for b := range d.byPair.buckets {
+			for k := range b {
+				keys = append(keys, k)
+			}
 		}
 	}
 	sort.Slice(keys, func(i, j int) bool {
@@ -779,7 +811,7 @@ func (v *View) FindConflicts() []Conflict {
 		return keys[i].l < keys[j].l
 	})
 	for _, k := range keys {
-		auths := v.shardFor(k.s).byPair[k]
+		auths := v.For(k.s, k.l)
 		for i := 0; i < len(auths); i++ {
 			for j := i + 1; j < len(auths); j++ {
 				a, b := auths[i], auths[j]

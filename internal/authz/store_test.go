@@ -85,7 +85,7 @@ func TestStoreRevoke(t *testing.T) {
 	}
 }
 
-func TestStoreRevokeDerivedBy(t *testing.T) {
+func TestStoreRevokeIf(t *testing.T) {
 	st := NewStore()
 	base := addOK(t, st, New(iv("[5, 20]"), iv("[15, 50]"), "Alice", "CAIS", 2))
 	d1 := New(iv("[5, 20]"), iv("[15, 50]"), "Bob", "CAIS", 2)
@@ -95,13 +95,14 @@ func TestStoreRevokeDerivedBy(t *testing.T) {
 	d2.DerivedBy, d2.BaseID = "r2", base.ID
 	addOK(t, st, d2)
 
-	if n := st.RevokeDerivedBy("r1"); n != 1 {
+	byR1 := func(a Authorization) bool { return a.DerivedBy == "r1" }
+	if n := st.RevokeIf(byR1); n != 1 {
 		t.Errorf("revoked %d, want 1", n)
 	}
 	if st.Len() != 2 {
 		t.Errorf("len = %d, want 2", st.Len())
 	}
-	if n := st.RevokeDerivedBy("r1"); n != 0 {
+	if n := st.RevokeIf(byR1); n != 0 {
 		t.Errorf("second revoke removed %d", n)
 	}
 	// Base and r2-derived authorizations survive.

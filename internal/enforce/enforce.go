@@ -303,8 +303,8 @@ func (e *Engine) exitLocked(t interval.Time, s profile.SubjectID) error {
 	if st.Auth == 0 {
 		return nil // ungranted stint: the entry alert already fired
 	}
-	a, err := e.store.Get(st.Auth)
-	if err != nil {
+	a, ok := e.stintAuth(st)
+	if !ok {
 		return nil // authorization revoked mid-stay; nothing to check against
 	}
 	switch {
@@ -316,6 +316,18 @@ func (e *Engine) exitLocked(t interval.Time, s profile.SubjectID) error {
 			Detail: fmt.Sprintf("left %s at %s after exit duration %s ended", st.Location, t, a.Exit)})
 	}
 	return nil
+}
+
+// stintAuth returns the authorization that admitted st, if it is still
+// stored. It granted st's own (subject, location), so the Def.-7 lookup
+// finds it in one shard; Store.Get would search every shard by ID.
+func (e *Engine) stintAuth(st movement.Stint) (authz.Authorization, bool) {
+	for _, a := range e.store.For(st.Subject, st.Location) {
+		if a.ID == st.Auth {
+			return a, true
+		}
+	}
+	return authz.Authorization{}, false
 }
 
 // MoveTo is the room-to-room transition: an implicit exit from the current
@@ -340,8 +352,8 @@ func (e *Engine) Tick(t interval.Time) ([]audit.Alert, error) {
 		if st.Auth == 0 {
 			continue
 		}
-		a, err := e.store.Get(st.Auth)
-		if err != nil {
+		a, ok := e.stintAuth(st)
+		if !ok {
 			continue
 		}
 		if t <= a.Exit.End {

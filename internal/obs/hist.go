@@ -92,7 +92,24 @@ func (h *Hist) ObserveMicros(us int64) {
 // would hide a single slow outlier exactly on the low-traffic routes
 // where it matters.
 func (h *Hist) Quantile(p float64) int64 {
-	total := h.count.Load()
+	b, n := h.snapshot()
+	return quantile(&b, n, p)
+}
+
+// snapshot reads every bucket once and returns them with their sum.
+// ObserveMicros bumps count before the bucket, so a total read from
+// count can exceed the buckets read after it; ranking against the sum
+// of the buckets actually read keeps every quantile inside them, and
+// quantiles taken from one snapshot are ordered.
+func (h *Hist) snapshot() (b [HistBuckets]uint64, n uint64) {
+	for i := range b {
+		b[i] = h.buckets[i].Load()
+		n += b[i]
+	}
+	return b, n
+}
+
+func quantile(b *[HistBuckets]uint64, total uint64, p float64) int64 {
 	if total == 0 {
 		return 0
 	}
@@ -104,8 +121,8 @@ func (h *Hist) Quantile(p float64) int64 {
 		rank = total
 	}
 	var cum uint64
-	for i := 0; i < HistBuckets; i++ {
-		cum += h.buckets[i].Load()
+	for i, c := range b {
+		cum += c
 		if cum >= rank {
 			return histUpper(i)
 		}
@@ -113,14 +130,14 @@ func (h *Hist) Quantile(p float64) int64 {
 	return histUpper(HistBuckets - 1)
 }
 
-// Stats summarizes the histogram.
+// Stats summarizes the histogram from one snapshot of its buckets.
 func (h *Hist) Stats() HistStats {
-	n := h.count.Load()
+	b, n := h.snapshot()
 	st := HistStats{
 		Count:    n,
-		P50Micro: h.Quantile(0.50),
-		P95Micro: h.Quantile(0.95),
-		P99Micro: h.Quantile(0.99),
+		P50Micro: quantile(&b, n, 0.50),
+		P95Micro: quantile(&b, n, 0.95),
+		P99Micro: quantile(&b, n, 0.99),
 	}
 	if n > 0 {
 		st.MeanMicro = int64(h.sumMicro.Load() / n)

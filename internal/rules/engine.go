@@ -120,7 +120,7 @@ func (e *Engine) RemoveRule(name string) error {
 			break
 		}
 	}
-	e.store.RevokeDerivedBy(name)
+	e.store.RevokeIf(derivedBy(name))
 	return nil
 }
 
@@ -170,7 +170,7 @@ func (e *Engine) DeriveAll() ([]Report, error) {
 // whose temporal constraints are unsatisfiable.
 func (e *Engine) deriveLocked(r Rule) (Report, error) {
 	rep := Report{Rule: r.Name}
-	e.store.RevokeDerivedBy(r.Name)
+	e.store.RevokeIf(derivedBy(r.Name))
 
 	base, err := e.store.Get(r.Base)
 	if err != nil {
@@ -211,10 +211,8 @@ func (e *Engine) deriveLocked(r Rule) (Report, error) {
 	sort.Slice(locations, func(i, j int) bool { return locations[i] < locations[j] })
 	n := ops.Entries.Apply(base.MaxEntries)
 
-	// Validate-or-skip first, then store the survivors as one batch —
-	// the sharded store clones each touched stripe once per batch, so a
-	// rule deriving thousands of authorizations stays O(batch), not
-	// O(batch × store).
+	// Validate-or-skip first, then store the survivors as one batch, so
+	// readers see each shard's part of the rule's output whole.
 	var pending []authz.Authorization
 	for _, s := range subjects {
 		for _, l := range locations {
@@ -260,13 +258,13 @@ func (e *Engine) RevokeBase(id authz.ID) (int, error) {
 	if err := e.store.Revoke(id); err != nil {
 		return 0, err
 	}
-	removed := 1
-	for _, a := range e.store.All() {
-		if a.BaseID == id && a.IsDerived() {
-			if err := e.store.Revoke(a.ID); err == nil {
-				removed++
-			}
-		}
-	}
+	removed := 1 + e.store.RevokeIf(func(a authz.Authorization) bool {
+		return a.BaseID == id && a.IsDerived()
+	})
 	return removed, nil
+}
+
+// derivedBy matches the authorizations rule derived.
+func derivedBy(rule string) func(authz.Authorization) bool {
+	return func(a authz.Authorization) bool { return a.DerivedBy == rule }
 }
