@@ -126,12 +126,11 @@ type System struct {
 	snaps     *storage.SnapshotStore
 	replaying bool
 	walPath   string
-	// commitCh is the durability wakeup: a token is dropped (non-blocking)
-	// whenever records may have become durable (a commit barrier resolved,
-	// a snapshot moved the base). Consumers — the event bus pump,
-	// same-process tailers — use it to chase the WAL without polling; it
-	// is a hint, not a count.
-	commitCh chan struct{}
+	// logMoved wakes the readers of this node's served log (ServedLog.
+	// Changed) whenever its window may have moved: records became durable
+	// (a commit barrier resolved) or applied (on a follower), or a
+	// snapshot moved the base. It is a hint, not a count.
+	logMoved logMoved
 	// baseSeq is the global sequence number of the first record in the
 	// current WAL: the count of records compacted into the latest
 	// snapshot. Global seq = baseSeq + position in the WAL; it is the
@@ -237,27 +236,12 @@ func newBareSystem() *System {
 		moves:    movement.NewDB(),
 		alerts:   audit.NewLog(0),
 		cache:    query.NewCache(0),
-		commitCh: make(chan struct{}, 1),
 		trace:    obs.NewPipelineTrace(0),
 	}
 }
 
 // Trace returns the system's pipeline trace (always non-nil).
 func (s *System) Trace() *obs.PipelineTrace { return s.trace }
-
-// CommitNotify returns the durability wakeup channel: a receive means
-// the durable frontier (ReplicationInfo().TotalSeq) may have advanced
-// since the last receive. Sends are collapsed (capacity 1), so consumers
-// must re-check the frontier after every wakeup rather than count them.
-func (s *System) CommitNotify() <-chan struct{} { return s.commitCh }
-
-// notifyCommit drops a wakeup token; never blocks.
-func (s *System) notifyCommit() {
-	select {
-	case s.commitCh <- struct{}{}:
-	default:
-	}
-}
 
 // Open builds a System from cfg, recovering from DataDir when set.
 func Open(cfg Config) (*System, error) {
@@ -646,7 +630,7 @@ func (s *System) traceStagedLocked(recs []storage.Record) {
 // distinguish the first victim from the stragglers.
 func (s *System) notifyAfter(err error) error {
 	if err == nil {
-		s.notifyCommit()
+		s.logMoved.fire()
 		return nil
 	}
 	if !errors.Is(err, storage.ErrWALPoisoned) && s.Poisoned() {
@@ -1326,7 +1310,7 @@ func (s *System) Snapshot() error {
 	}
 	s.baseSeq.Store(newBase)
 	// The base moved: wake followers so they re-resolve their position.
-	s.notifyCommit()
+	s.logMoved.fire()
 	return nil
 }
 

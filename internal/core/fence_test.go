@@ -81,7 +81,7 @@ func TestFenceRejectsMutationsKeepsQueries(t *testing.T) {
 func TestApplyTermRecordFencesStaleStream(t *testing.T) {
 	sys, _, _, _ := stressReplicaSite(t, 2)
 	defer sys.Close()
-	rep, err := NewReplica(&LocalSource{Primary: sys})
+	rep, err := NewReplica(&LogSource{Node: sys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestApplyTermRecordFencesStaleStream(t *testing.T) {
 func TestRebootstrapRefusesStaleTerm(t *testing.T) {
 	sys, _, _, _ := stressReplicaSite(t, 2)
 	defer sys.Close()
-	rep, err := NewReplica(&LocalSource{Primary: sys})
+	rep, err := NewReplica(&LogSource{Node: sys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestRebootstrapRefusesStaleTerm(t *testing.T) {
 func TestPromoteConvertsFollowerInPlace(t *testing.T) {
 	sys, _, _, _ := stressReplicaSite(t, 2)
 	defer sys.Close()
-	rep, err := NewReplica(&LocalSource{Primary: sys, Poll: 100 * time.Microsecond})
+	rep, err := NewReplica(&LogSource{Node: sys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestPromoteConvertsFollowerInPlace(t *testing.T) {
 	}
 
 	// A second follower must refuse to reuse the same lineage directory.
-	rep2, err := NewReplica(&LocalSource{Primary: sys})
+	rep2, err := NewReplica(&LogSource{Node: sys})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,6 +107,6 @@ func (s *System) promote(dataDir string, term, seq uint64) error {
 	s.term.Store(term)
 	s.readOnly.Store(false)
 	s.publishLocked()
-	s.notifyCommit()
+	s.logMoved.fire()
 	return nil
 }

@@ -59,8 +59,8 @@ var ErrStaleTerm = errors.New("core: replication stream from a stale primary (lo
 var ErrBootstrapMismatch = errors.New("core: bootstrap state does not match this replica's site")
 
 // ReplicaSource is where a follower pulls its state and stream from. The
-// wire package adapts the HTTP client to it; LocalSource adapts a
-// same-process primary (tests, tools).
+// wire package adapts the HTTP client to it; LogSource adapts a
+// same-process primary or cascading follower (tests, tools).
 type ReplicaSource interface {
 	// Bootstrap returns the primary's full state (the marshaled snapshot
 	// a replica System is built from), the global sequence number the
@@ -74,19 +74,12 @@ type ReplicaSource interface {
 	Tail(ctx context.Context, from uint64, apply func(storage.Record) error) error
 	// PrimarySeq reports the primary's current TotalSeq, for lag.
 	PrimarySeq(ctx context.Context) (uint64, error)
-}
-
-// TermedSource is the optional ReplicaSource extension for fencing: a
-// source that knows which promotion term its current stream was shipped
-// under implements it, and the Run loop refuses records whose stream
-// term is lower than the highest term the follower has ever seen. A
-// source that does not implement it (or reports 0) is trusted — the
-// pre-failover behavior.
-type TermedSource interface {
 	// SourceTerm returns the promotion term of the most recently opened
-	// Tail stream (0 = unknown). One stream is always shipped under one
-	// term — the primary ends the stream if its term changes — so a
-	// per-stream term is a per-frame term.
+	// Tail stream (0 = unknown, trusted). One stream is always shipped
+	// under one term — the serving node ends the stream if its term
+	// changes — so a per-stream term is a per-frame term, and the Run loop
+	// refuses records whose stream term is lower than the highest term
+	// the follower has ever seen.
 	SourceTerm() uint64
 }
 
@@ -137,7 +130,7 @@ type Replica struct {
 	relay    *storage.RelayLog
 	relayDir string
 	// notify is the apply wakeup: one token per appliedSeq advance,
-	// collapsed (capacity 1) exactly like System.CommitNotify.
+	// collapsed (capacity 1).
 	notify chan struct{}
 }
 
@@ -263,8 +256,10 @@ func (r *Replica) ApplyRecord(rec storage.Record) error {
 	return nil
 }
 
-// notifyApply drops an apply wakeup token; never blocks.
+// notifyApply drops an apply wakeup token (never blocks) and wakes the
+// readers of the relay.
 func (r *Replica) notifyApply() {
+	r.sys.logMoved.fire()
 	select {
 	case r.notify <- struct{}{}:
 	default:
@@ -274,7 +269,8 @@ func (r *Replica) notifyApply() {
 // ApplyNotify returns the apply wakeup channel: a receive means the
 // applied frontier may have advanced since the last receive. Sends are
 // collapsed (capacity 1) — consumers re-check AppliedSeq, they do not
-// count tokens. The follower-side twin of System.CommitNotify.
+// count tokens. Readers of the relay wake on ServedLog.Changed instead,
+// which wakes every waiter.
 func (r *Replica) ApplyNotify() <-chan struct{} { return r.notify }
 
 // EnableRelay arms cascading: every record applied from here on is
@@ -299,9 +295,6 @@ func (r *Replica) EnableRelay(dir string, maxBytes int64) error {
 	r.relay, r.relayDir = rl, dir
 	return nil
 }
-
-// Relay returns the relay log (nil when cascading is not enabled).
-func (r *Replica) Relay() *storage.RelayLog { return r.relay }
 
 // RelayDir returns the relay directory ("" when cascading is not
 // enabled) — where per-node sidecar state (subscriber cursors) lives.
@@ -536,16 +529,13 @@ func (r *Replica) Run(ctx context.Context, cfg ...RunConfig) error {
 		}
 	}()
 
-	// When the source carries the term plane, every record passes the
-	// fencing check before it is applied: a stream shipped under a term
-	// lower than the highest seen is a resurrected stale primary, and
-	// its records must be dropped (ErrStaleTerm ends the stream; the
-	// reconnect re-resolves toward the highest-term primary).
-	apply := r.ApplyRecord
-	if ts, ok := r.src.(TermedSource); ok {
-		apply = func(rec storage.Record) error {
-			return r.ApplyTermRecord(ts.SourceTerm(), rec)
-		}
+	// Every record passes the fencing check before it is applied: a
+	// stream shipped under a term lower than the highest seen is a
+	// resurrected stale primary, and its records must be dropped
+	// (ErrStaleTerm ends the stream; the reconnect re-resolves toward the
+	// highest-term primary).
+	apply := func(rec storage.Record) error {
+		return r.ApplyTermRecord(r.src.SourceTerm(), rec)
 	}
 
 	backoff := retryMin
@@ -694,184 +684,4 @@ func storeMax(a *atomic.Uint64, v uint64) {
 			return
 		}
 	}
-}
-
-// --- Same-process source -----------------------------------------------
-
-// LocalSource feeds a follower from a primary living in the same
-// process, by tailing its WAL file directly — the test harness's and
-// tooling's source. Poll is the idle polling cadence (default 2ms).
-type LocalSource struct {
-	Primary *System
-	Poll    time.Duration
-}
-
-// Bootstrap captures the primary's live state.
-func (l *LocalSource) Bootstrap() (uint64, bool, json.RawMessage, error) {
-	return l.Primary.CaptureBootstrap()
-}
-
-// SourceTerm reports the primary's live promotion term: a same-process
-// source reads it directly, so the fencing check always sees the term
-// the next record will be written under.
-func (l *LocalSource) SourceTerm() uint64 { return l.Primary.Term() }
-
-// PrimarySeq reports the primary's durable record count.
-func (l *LocalSource) PrimarySeq(context.Context) (uint64, error) {
-	info := l.Primary.ReplicationInfo()
-	if !info.Durable {
-		return 0, errors.New("core: primary is not durable")
-	}
-	return info.TotalSeq, nil
-}
-
-// Tail follows the primary's WAL file from global sequence `from`. On a
-// compaction underneath the tailer it returns nil — the reconnect
-// re-resolves the base and detects a real gap, exactly like the HTTP
-// stream ending. Like the HTTP stream handler, it ships only durable
-// (fsynced) records, and it validates after reading a batch — before
-// applying any of it — that no compaction raced the reads: Truncate
-// reuses the inode and frames carry no sequence number, so unvalidated
-// reads could hand back new-epoch bytes under old-epoch coordinates.
-func (l *LocalSource) Tail(ctx context.Context, from uint64, apply func(storage.Record) error) error {
-	info := l.Primary.ReplicationInfo()
-	if !info.Durable {
-		return errors.New("core: primary is not durable")
-	}
-	return tailFrames(ctx, from, apply, l.Primary.WALPath(), l.Poll, func() (uint64, uint64, error) {
-		cur := l.Primary.ReplicationInfo()
-		return cur.BaseSeq, cur.TotalSeq, nil
-	})
-}
-
-// tailFrames is the shared same-process tail loop: follow a frame log
-// (the primary's WAL, or a cascading follower's relay) from global
-// sequence `from`, applying each record in order. info reports the
-// log's current (base, total); an info error is terminal, a moved base
-// ends the stream cleanly (the caller reconnects and re-resolves).
-func tailFrames(ctx context.Context, from uint64, apply func(storage.Record) error,
-	path string, poll time.Duration, info func() (base, total uint64, err error)) error {
-	base0, total0, err := info()
-	if err != nil {
-		return err
-	}
-	if from < base0 || from > total0 {
-		return storage.ErrSeqGap
-	}
-	t, err := storage.OpenTailer(path)
-	if err != nil {
-		return err
-	}
-	defer t.Close()
-	if poll <= 0 {
-		poll = 2 * time.Millisecond
-	}
-	skip := from - base0
-	for {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		curBase, curTotal, err := info()
-		if err != nil {
-			return err
-		}
-		if curBase != base0 {
-			return nil // compacted underneath us: reconnect and re-resolve
-		}
-		limit := curTotal - base0
-		for skip > 0 && t.Seq() < limit {
-			want := skip
-			if rest := limit - t.Seq(); rest < want {
-				want = rest
-			}
-			n, err := t.Skip(want)
-			skip -= n
-			if err != nil || n == 0 {
-				if errors.Is(err, storage.ErrWALReset) {
-					return nil
-				}
-				break
-			}
-		}
-		var batch []storage.Record
-		if skip == 0 {
-			for t.Seq() < limit {
-				rec, err := t.Next()
-				if errors.Is(err, storage.ErrNoRecord) {
-					break
-				}
-				if errors.Is(err, storage.ErrWALReset) {
-					return nil
-				}
-				if err != nil {
-					return err
-				}
-				batch = append(batch, rec)
-			}
-		}
-		if cur2Base, _, err := info(); err != nil || cur2Base != base0 {
-			if err != nil {
-				return err
-			}
-			return nil // reads raced a compaction: discard unapplied
-		}
-		for _, rec := range batch {
-			if err := apply(rec); err != nil {
-				return err
-			}
-		}
-		if len(batch) > 0 {
-			continue // drain the backlog without sleeping
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(poll):
-		}
-	}
-}
-
-// RelaySource feeds a follower from a CASCADING follower in the same
-// process: bootstrap from the upstream replica's captured state, then
-// tail its relay log — the second tier of a distribution tree, without
-// HTTP (tests, tools). The upstream must have EnableRelay armed.
-type RelaySource struct {
-	Upstream *Replica
-	Poll     time.Duration
-}
-
-// Bootstrap captures the upstream follower's state at its applied
-// sequence (consistent with its relay frontier).
-func (rs *RelaySource) Bootstrap() (uint64, bool, json.RawMessage, error) {
-	return rs.Upstream.CaptureBootstrap()
-}
-
-// SourceTerm reports the upstream follower's highest seen term — the
-// term its relay frames were applied under. Fencing survives the extra
-// cascade hop because every tier re-stamps the highest term it has
-// proof of.
-func (rs *RelaySource) SourceTerm() uint64 { return rs.Upstream.Term() }
-
-// PrimarySeq reports the upstream follower's applied frontier — the
-// leaf's lag is measured against its immediate upstream, not the root.
-func (rs *RelaySource) PrimarySeq(context.Context) (uint64, error) {
-	return rs.Upstream.AppliedSeq(), nil
-}
-
-// Tail follows the upstream's relay log. A broken or disabled relay is
-// a terminal error; a relay self-compaction surfaces as ErrSeqGap on
-// the reconnect, which Run self-heals with a fresh bootstrap from the
-// upstream — the same protocol as a primary compaction, one tier down.
-func (rs *RelaySource) Tail(ctx context.Context, from uint64, apply func(storage.Record) error) error {
-	rl := rs.Upstream.Relay()
-	if rl == nil {
-		return errors.New("core: upstream follower has no relay (EnableRelay not called)")
-	}
-	return tailFrames(ctx, from, apply, rl.Path(), rs.Poll, func() (uint64, uint64, error) {
-		if err := rl.Err(); err != nil {
-			return 0, 0, err
-		}
-		base, total := rl.Info()
-		return base, total, nil
-	})
 }

@@ -75,7 +75,7 @@ func TestReplicaViewMatchesFreshAtEveryEpoch(t *testing.T) {
 	sys, subs, rooms, centers := stressReplicaSite(t, 4)
 	defer sys.Close()
 
-	rep, err := NewReplica(&LocalSource{Primary: sys, Poll: 100 * time.Microsecond})
+	rep, err := NewReplica(&LogSource{Node: sys})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,11 +16,11 @@ import (
 
 // healSite boots a durable primary with boundaries and one authorized
 // subject, and a follower bootstrapped from it.
-func healSite(t *testing.T) (*System, *Replica, *LocalSource) {
+func healSite(t *testing.T) (*System, *Replica, *LogSource) {
 	t.Helper()
 	sys, _, rooms, _ := stressReplicaSite(t, 2)
 	_ = rooms
-	src := &LocalSource{Primary: sys, Poll: time.Millisecond}
+	src := &LogSource{Node: sys}
 	rep, err := NewReplica(src)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestReplicaRebootstrapInPlace(t *testing.T) {
 // replicatest harness).
 func tailFollower(t *testing.T, sys *System, rep *Replica) {
 	t.Helper()
-	src := &LocalSource{Primary: sys, Poll: time.Millisecond}
+	src := &LogSource{Node: sys}
 	target := sys.ReplicationInfo().TotalSeq
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -120,13 +120,14 @@ func tailFollower(t *testing.T, sys *System, rep *Replica) {
 // PrimarySeq keep working, like a control plane that outlives the
 // stream.
 type gateSource struct {
-	inner *LocalSource
+	inner *LogSource
 	mu    sync.Mutex
 	gate  chan struct{} // non-nil while partitioned; closed to reopen
 }
 
 func (g *gateSource) Bootstrap() (uint64, bool, json.RawMessage, error) { return g.inner.Bootstrap() }
 func (g *gateSource) PrimarySeq(ctx context.Context) (uint64, error)    { return g.inner.PrimarySeq(ctx) }
+func (g *gateSource) SourceTerm() uint64                                { return g.inner.SourceTerm() }
 func (g *gateSource) Tail(ctx context.Context, from uint64, apply func(storage.Record) error) error {
 	g.mu.Lock()
 	gate := g.gate
@@ -164,7 +165,7 @@ func (g *gateSource) reconnect() {
 // in a row.
 func TestReplicaRunSelfHeals(t *testing.T) {
 	sys, _, _, _ := stressReplicaSite(t, 2)
-	src := &gateSource{inner: &LocalSource{Primary: sys, Poll: time.Millisecond}}
+	src := &gateSource{inner: &LogSource{Node: sys}}
 	rep, err := NewReplica(src)
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +236,7 @@ func TestReplicaRunSelfHeals(t *testing.T) {
 	}
 
 	// With self-heal disabled the same situation is terminal again.
-	rep2, err := NewReplica(&LocalSource{Primary: sys, Poll: time.Millisecond})
+	rep2, err := NewReplica(&LogSource{Node: sys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,14 +259,14 @@ type swapSource struct{ ReplicaSource }
 func TestRebootstrapMismatchedSite(t *testing.T) {
 	sysA, _, _, _ := stressReplicaSite(t, 2)
 	sysB, _, _, _ := stressReplicaSite(t, 3) // different grid
-	src := &swapSource{&LocalSource{Primary: sysA, Poll: time.Millisecond}}
+	src := &swapSource{&LogSource{Node: sysA}}
 	rep, err := NewReplica(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { rep.Close() })
 
-	src.ReplicaSource = &LocalSource{Primary: sysB, Poll: time.Millisecond}
+	src.ReplicaSource = &LogSource{Node: sysB}
 	if err := rep.Rebootstrap(); !errors.Is(err, ErrBootstrapMismatch) {
 		t.Fatalf("rebootstrap from a different site = %v, want ErrBootstrapMismatch", err)
 	}

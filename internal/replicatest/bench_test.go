@@ -23,7 +23,7 @@ func BenchmarkReplicaApply(b *testing.B) {
 	}
 	defer p.Close()
 
-	rep, err := core.NewReplica(&core.LocalSource{Primary: p})
+	rep, err := core.NewReplica(&core.LogSource{Node: p})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -160,10 +160,11 @@ func TestCascadeEventFeedFromLeafTier(t *testing.T) {
 
 	// The bus a cascading follower serves /v1/stream/events from: fed by
 	// the relay log, not a WAL.
-	bus, err := stream.NewBusFrom(stream.ReplicaFeed{Rep: casc.Up}, stream.BusConfig{Poll: time.Millisecond})
+	lg, err := casc.Up.ServedLog()
 	if err != nil {
 		t.Fatal(err)
 	}
+	bus := stream.NewBus(lg)
 	defer bus.Close()
 	sub, err := bus.Subscribe(stream.SubscribeOptions{From: 0})
 	if err != nil {
@@ -251,8 +252,8 @@ func TestCascadeRelaySelfHealAfterRebootstrap(t *testing.T) {
 	if err := h.Replica.Rebootstrap(); err != nil {
 		t.Fatal(err)
 	}
-	base, totalRelay := casc.Up.Relay().Info()
-	if base != h.Replica.AppliedSeq() || totalRelay != base {
+	base, totalRelay, ok := casc.Up.RelayInfo()
+	if !ok || base != h.Replica.AppliedSeq() || totalRelay != base {
 		t.Fatalf("relay after re-bootstrap: base %d total %d, want empty at %d",
 			base, totalRelay, h.Replica.AppliedSeq())
 	}
@@ -272,9 +273,9 @@ func TestCascadeRelaySelfHealAfterRebootstrap(t *testing.T) {
 }
 
 // TestRelaySourceRunLoop runs the leaf through the REAL background Run
-// loop over a RelaySource (not the synchronous pump): records applied on
-// the mid-tier follower must flow to the leaf without the leaf ever
-// contacting the primary.
+// loop over a LogSource on the mid-tier follower's relay (not the
+// synchronous pump): records applied on the mid-tier follower must flow
+// to the leaf without the leaf ever contacting the primary.
 func TestRelaySourceRunLoop(t *testing.T) {
 	g, bounds, centers := GridSite(t, 3)
 	h := New(t, g, bounds)
@@ -283,7 +284,7 @@ func TestRelaySourceRunLoop(t *testing.T) {
 	if err := h.Primary.PutSubject(profile.Subject{ID: "a"}); err != nil {
 		t.Fatal(err)
 	}
-	leaf, err := core.NewReplica(&core.RelaySource{Upstream: h.Replica})
+	leaf, err := core.NewReplica(&core.LogSource{Node: h.Replica})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +292,9 @@ func TestRelaySourceRunLoop(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	runDone := make(chan error, 1)
-	go func() { runDone <- leaf.Run(ctx, core.RunConfig{RetryMin: time.Millisecond, RetryMax: 5 * time.Millisecond}) }()
+	go func() {
+		runDone <- leaf.Run(ctx, core.RunConfig{RetryMin: time.Millisecond, RetryMax: 5 * time.Millisecond})
+	}()
 
 	for i := 0; i < 10; i++ {
 		if _, _, err := h.Primary.ObserveReading(

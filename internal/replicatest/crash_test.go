@@ -27,6 +27,7 @@ func (g *genesisSource) Bootstrap() (uint64, bool, json.RawMessage, error) {
 	return g.seq, g.autoDerive, g.state, nil
 }
 func (g *genesisSource) PrimarySeq(context.Context) (uint64, error) { return g.seq, nil }
+func (g *genesisSource) SourceTerm() uint64                         { return 0 }
 func (g *genesisSource) Tail(ctx context.Context, from uint64, apply func(storage.Record) error) error {
 	return errors.New("genesisSource does not stream")
 }
@@ -176,7 +177,7 @@ func TestReplicaGapRequiresBootstrap(t *testing.T) {
 		t.Fatalf("test setup: applied %d not behind base %d", h.Replica.AppliedSeq(), info.BaseSeq)
 	}
 
-	src := &core.LocalSource{Primary: h.Primary, Poll: time.Millisecond}
+	src := &core.LogSource{Node: h.Primary}
 	err := src.Tail(context.Background(), h.Replica.AppliedSeq(), func(storage.Record) error { return nil })
 	if !errors.Is(err, storage.ErrSeqGap) {
 		t.Fatalf("Tail behind base: err = %v, want ErrSeqGap", err)

@@ -197,7 +197,7 @@ func TestPromotedPrimaryServesFollowers(t *testing.T) {
 	}
 
 	// A fresh follower of the NEW primary follows its new lineage live.
-	rep2, err := core.NewReplica(&core.LocalSource{Primary: promoted, Poll: 100 * time.Microsecond})
+	rep2, err := core.NewReplica(&core.LogSource{Node: promoted})
 	if err != nil {
 		t.Fatal(err)
 	}

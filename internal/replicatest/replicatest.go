@@ -4,8 +4,8 @@
 // query-for-query equivalence at every applied sequence number.
 //
 // The harness deliberately pumps the WAL stream SYNCHRONOUSLY (its own
-// Tailer on the primary's log file, applied record by record) instead of
-// running the replica's background loop: determinism is what lets a test
+// storage.LogReader on the primary's served log, applied record by
+// record) instead of running the replica's background loop: determinism is what lets a test
 // stop the world at sequence k, compare every answer, and resume. The
 // background loop is exercised separately by the core race tests and the
 // server smoke test.
@@ -14,7 +14,6 @@ package replicatest
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sort"
 	"testing"
@@ -36,10 +35,7 @@ type Harness struct {
 	Primary *core.System
 	Replica *core.Replica
 
-	tailer *storage.Tailer
-	// tailBase is the global sequence of the tailer's file-local frame 0
-	// (the primary's BaseSeq when the tailer attached).
-	tailBase uint64
+	pump *logPump
 }
 
 // GridSite builds a side×side grid graph with unit-square room
@@ -98,7 +94,7 @@ func New(tb testing.TB, g *graph.Graph, bounds []geometry.Boundary) *Harness {
 // NewFollower bootstraps a fresh follower from the primary's live state.
 func (h *Harness) NewFollower() *core.Replica {
 	h.tb.Helper()
-	rep, err := core.NewReplica(&core.LocalSource{Primary: h.Primary})
+	rep, err := core.NewReplica(&core.LogSource{Node: h.Primary})
 	if err != nil {
 		h.tb.Fatal(err)
 	}
@@ -106,35 +102,19 @@ func (h *Harness) NewFollower() *core.Replica {
 	return rep
 }
 
-// RestartTailer fences a follower crash: it drops the current tailer
+// RestartTailer fences a follower crash: it drops the current reader
 // (if any) and attaches a brand-new one positioned from nothing but the
 // replica's AppliedSeq — exactly what a restarted follower process does.
 func (h *Harness) RestartTailer() {
 	h.tb.Helper()
-	if h.tailer != nil {
-		h.tailer.Close()
-		h.tailer = nil
-	}
-	info := h.Primary.ReplicationInfo()
-	if h.Replica.AppliedSeq() < info.BaseSeq {
-		h.tb.Fatalf("replica at seq %d fell behind compaction base %d", h.Replica.AppliedSeq(), info.BaseSeq)
-	}
-	t, err := storage.OpenTailer(h.Primary.WALPath())
-	if err != nil {
-		h.tb.Fatal(err)
-	}
-	h.tailer = t
-	h.tailBase = info.BaseSeq
-	need := h.Replica.AppliedSeq() - info.BaseSeq
-	n, err := t.Skip(need)
-	if err != nil || n != need {
-		h.tb.Fatalf("skip to resume seq: skipped %d of %d: %v", n, need, err)
-	}
-	h.tb.Cleanup(func() {
-		if h.tailer != nil {
-			h.tailer.Close()
+	if h.pump == nil {
+		lg, err := h.Primary.ServedLog()
+		if err != nil {
+			h.tb.Fatal(err)
 		}
-	})
+		h.pump = newLogPump(h.tb, "pump", lg, h.Replica)
+	}
+	h.pump.restart()
 }
 
 // Pump applies up to n shipped records to the replica, returning how
@@ -144,21 +124,7 @@ func (h *Harness) RestartTailer() {
 // its records.
 func (h *Harness) Pump(n uint64) uint64 {
 	h.tb.Helper()
-	var applied uint64
-	for applied < n {
-		rec, err := h.tailer.Next()
-		if errors.Is(err, storage.ErrNoRecord) {
-			return applied
-		}
-		if err != nil {
-			h.tb.Fatalf("pump: %v", err)
-		}
-		if err := h.Replica.ApplyRecord(rec); err != nil {
-			h.tb.Fatalf("pump: %v", err)
-		}
-		applied++
-	}
-	return applied
+	return h.pump.apply(n)
 }
 
 // CatchUp pumps until the replica has applied every durable primary
@@ -192,8 +158,7 @@ type Cascade struct {
 	Up   *core.Replica
 	Leaf *core.Replica
 
-	tailer   *storage.Tailer
-	tailBase uint64
+	pump *logPump
 }
 
 // EnableCascade arms the harness follower's relay (records applied from
@@ -205,64 +170,94 @@ func (h *Harness) EnableCascade() *Cascade {
 	if err := h.Replica.EnableRelay(h.tb.TempDir(), 0); err != nil {
 		h.tb.Fatal(err)
 	}
-	leaf, err := core.NewReplica(&core.RelaySource{Upstream: h.Replica})
+	leaf, err := core.NewReplica(&core.LogSource{Node: h.Replica})
 	if err != nil {
 		h.tb.Fatal(err)
 	}
 	h.tb.Cleanup(func() { leaf.Close() })
-	c := &Cascade{tb: h.tb, Up: h.Replica, Leaf: leaf}
+	lg, err := h.Replica.ServedLog()
+	if err != nil {
+		h.tb.Fatal(err)
+	}
+	c := &Cascade{tb: h.tb, Up: h.Replica, Leaf: leaf, pump: newLogPump(h.tb, "leaf pump", lg, leaf)}
 	c.RestartTailer()
 	return c
 }
 
-// RestartTailer fences a leaf crash: a brand-new tailer on the relay
-// file, positioned from nothing but the leaf's AppliedSeq.
+// RestartTailer fences a leaf crash: a brand-new reader on the relay
+// log, positioned from nothing but the leaf's AppliedSeq.
 func (c *Cascade) RestartTailer() {
 	c.tb.Helper()
-	if c.tailer != nil {
-		c.tailer.Close()
-		c.tailer = nil
-	}
-	rl := c.Up.Relay()
-	base, _ := rl.Info()
-	if c.Leaf.AppliedSeq() < base {
-		c.tb.Fatalf("leaf at seq %d fell behind relay base %d", c.Leaf.AppliedSeq(), base)
-	}
-	t, err := storage.OpenTailer(rl.Path())
-	if err != nil {
-		c.tb.Fatal(err)
-	}
-	c.tailer = t
-	c.tailBase = base
-	need := c.Leaf.AppliedSeq() - base
-	n, err := t.Skip(need)
-	if err != nil || n != need {
-		c.tb.Fatalf("skip to leaf resume seq: skipped %d of %d: %v", n, need, err)
-	}
-	c.tb.Cleanup(func() {
-		if c.tailer != nil {
-			c.tailer.Close()
-		}
-	})
+	c.pump.restart()
 }
 
 // Pump applies up to n relayed records to the leaf, returning how many
 // it applied (fewer when the relay is drained).
 func (c *Cascade) Pump(n uint64) uint64 {
 	c.tb.Helper()
+	return c.pump.apply(n)
+}
+
+// logPump applies one served log to one follower, synchronously, through
+// the same validated reader the production consumers use.
+type logPump struct {
+	tb    testing.TB
+	name  string
+	lg    core.ServedLog
+	rep   *core.Replica
+	rd    *storage.LogReader
+	batch []byte
+}
+
+func newLogPump(tb testing.TB, name string, lg core.ServedLog, rep *core.Replica) *logPump {
+	p := &logPump{tb: tb, name: name, lg: lg, rep: rep}
+	tb.Cleanup(func() {
+		if p.rd != nil {
+			p.rd.Close()
+		}
+	})
+	return p
+}
+
+// restart replaces the reader with a fresh one at the follower's
+// applied sequence.
+func (p *logPump) restart() {
+	p.tb.Helper()
+	if p.rd != nil {
+		p.rd.Close()
+		p.rd = nil
+	}
+	rd, err := p.lg.Open(p.rep.AppliedSeq())
+	if err != nil {
+		p.tb.Fatalf("%s: resume at seq %d: %v", p.name, p.rep.AppliedSeq(), err)
+	}
+	p.rd = rd
+}
+
+// apply applies up to n records, returning how many it applied (fewer
+// when the log is drained).
+func (p *logPump) apply(n uint64) uint64 {
+	p.tb.Helper()
 	var applied uint64
 	for applied < n {
-		rec, err := c.tailer.Next()
-		if errors.Is(err, storage.ErrNoRecord) {
-			return applied
+		var err error
+		if p.batch, err = p.rd.Read(p.batch[:0], p.rd.Seq()+n-applied); err != nil {
+			p.tb.Fatalf("%s: %v", p.name, err)
 		}
-		if err != nil {
-			c.tb.Fatalf("leaf pump: %v", err)
+		if len(p.batch) == 0 {
+			break
 		}
-		if err := c.Leaf.ApplyRecord(rec); err != nil {
-			c.tb.Fatalf("leaf pump: %v", err)
+		for rest := p.batch; len(rest) > 0; applied++ {
+			var body []byte
+			body, rest = storage.NextFrame(rest)
+			var rec storage.Record
+			if err := json.Unmarshal(body, &rec); err != nil {
+				p.tb.Fatalf("%s: %v", p.name, err)
+			}
+			if err := p.rep.ApplyRecord(rec); err != nil {
+				p.tb.Fatalf("%s: %v", p.name, err)
+			}
 		}
-		applied++
 	}
 	return applied
 }

@@ -27,8 +27,7 @@ import (
 //     stream, resubscribe with only the token, resume exactly after the
 //     last ack.
 func TestCascadeOverHTTP(t *testing.T) {
-	sys, psrv, client, _, centers := streamSite(t, 2, t.TempDir(), "alice")
-	psrv.walPoll = time.Millisecond
+	sys, _, client, _, centers := streamSite(t, 2, t.TempDir(), "alice")
 
 	// Pre-replication history.
 	if _, err := sys.ObserveBatch([]core.Reading{{Time: 2, Subject: "alice", At: centers[0]}}); err != nil {
@@ -51,7 +50,6 @@ func TestCascadeOverHTTP(t *testing.T) {
 		repDone <- rep.Run(ctx, core.RunConfig{RetryMin: time.Millisecond, RetryMax: 10 * time.Millisecond})
 	}()
 	fsrv := NewReplica(rep)
-	fsrv.walPoll = time.Millisecond
 	defer fsrv.Close()
 	fts := httptest.NewServer(fsrv)
 	defer fts.Close()
@@ -220,7 +218,7 @@ func TestCascadeOverHTTP(t *testing.T) {
 // serving nothing.
 func TestCascadeRequiresRelay(t *testing.T) {
 	sys, _, _, _, _ := streamSite(t, 2, t.TempDir(), "alice")
-	rep, err := core.NewReplica(&core.LocalSource{Primary: sys})
+	rep, err := core.NewReplica(&core.LogSource{Node: sys})
 	if err != nil {
 		t.Fatal(err)
 	}

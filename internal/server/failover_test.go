@@ -33,7 +33,6 @@ func TestFailoverEndToEnd(t *testing.T) {
 
 func testFailoverEndToEnd(t *testing.T, wf wire.WireFormat) {
 	psys, psrv, _, rooms, centers := streamSite(t, 2, t.TempDir(), "alice", "bob")
-	psrv.walPoll = time.Millisecond
 	pts := httptest.NewServer(psrv)
 	primaryURL := pts.URL
 	primaryUp := true
@@ -56,7 +55,6 @@ func testFailoverEndToEnd(t *testing.T, wf wire.WireFormat) {
 		runDone <- rep.Run(ctx, core.RunConfig{RetryMin: time.Millisecond, RetryMax: 10 * time.Millisecond})
 	}()
 	fsrv := NewReplica(rep)
-	fsrv.walPoll = time.Millisecond
 	fsrv.SetPromoteDir(t.TempDir())
 	defer fsrv.Close()
 	fts := httptest.NewServer(fsrv)

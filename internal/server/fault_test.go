@@ -140,8 +140,7 @@ func TestIngestResumeEquivalenceThroughChaos(t *testing.T) {
 
 func testResumeEquivalence(t *testing.T, wf wire.WireFormat) {
 	sysA, _, clientA, _, centers := streamSite(t, 2, t.TempDir(), "alice")
-	sysB, srvB, clientB, _, _ := streamSite(t, 2, t.TempDir(), "alice")
-	srvB.walPoll = time.Millisecond
+	sysB, _, clientB, _, _ := streamSite(t, 2, t.TempDir(), "alice")
 
 	const n = 600
 	readings := make([]wire.Reading, n)

@@ -6,11 +6,11 @@
 //
 // The WAL stream is a chunked, indefinitely-long response of
 // length-prefixed frames in exactly the log's on-disk layout. The
-// handler tails the live log file, flushing whatever is durable and then
-// polling for growth; it ends the stream (cleanly) when the log is
-// compacted underneath it, and the follower reconnects and re-resolves
-// its position — a follower that fell behind the compaction gets HTTP
-// 410 and must re-bootstrap.
+// handler follows the live log file (core.ServedLog.Follow), flushing
+// whatever is durable and then waiting for the log to move; it ends the
+// stream (cleanly) when the log is compacted underneath it, and the
+// follower reconnects and re-resolves its position — a follower that
+// fell behind the compaction gets HTTP 410 and must re-bootstrap.
 //
 // A PRIMARY serves these from its WAL. A FOLLOWER with cascading armed
 // (core.Replica.EnableRelay) serves the same three endpoints from its
@@ -30,12 +30,10 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/storage"
 	"repro/internal/wire"
 )
-
-// defaultWALPoll is the stream handler's idle polling cadence.
-const defaultWALPoll = 25 * time.Millisecond
 
 // Header names shared with the wire package (aliased so the handlers
 // read naturally).
@@ -195,69 +193,29 @@ func (s *Server) replicationWireStatus(ctx context.Context) *wire.ReplicationSta
 	}
 }
 
-// servedLog abstracts the frame log a node re-serves over
-// /v1/replication/wal: the primary's WAL, or a cascading follower's
-// relay. info reports the servable (base, total) window — an info error
-// means the log can no longer be served (a latched relay write failure);
-// term is the promotion term the stream is stamped with; ended reports
-// the conditions that must terminate an open stream cleanly (term moved,
-// node fenced or promoted) so the stamped header can never go stale.
-type servedLog struct {
-	path  string
-	info  func() (base, total uint64, err error)
-	term  func() uint64
-	ended func(startTerm uint64) bool
-}
-
-// servedWAL resolves which log this node serves downstream, or an error
-// when it serves none (non-durable primary; non-cascading follower).
-func (s *Server) servedWAL() (servedLog, error) {
+// downstreamLog resolves which log this node serves downstream — the
+// primary's WAL, or a cascading follower's relay — or an error when it
+// serves none (non-durable primary; non-cascading follower).
+func (s *Server) downstreamLog() (core.ServedLog, error) {
 	if s.isFollower() {
-		rl := s.rep.Relay()
-		if rl == nil {
-			return servedLog{}, errRelayUnarmed
+		lg, err := s.rep.ServedLog()
+		if err != nil {
+			return lg, errRelayUnarmed
 		}
-		return servedLog{
-			path: rl.Path(),
-			info: func() (uint64, uint64, error) {
-				if err := rl.Err(); err != nil {
-					return 0, 0, err
-				}
-				base, total := rl.Info()
-				return base, total, nil
-			},
-			term: s.rep.Term,
-			ended: func(startTerm uint64) bool {
-				return s.rep.Term() != startTerm || s.rep.Promoted()
-			},
-		}, nil
+		return lg, nil
 	}
-	if !s.sys.ReplicationInfo().Durable {
-		return servedLog{}, errors.New("replication requires durability (start with -data)")
+	lg, err := s.sys.ServedLog()
+	if err != nil {
+		return lg, errors.New("replication requires durability (start with -data)")
 	}
-	return servedLog{
-		path: s.sys.WALPath(),
-		info: func() (uint64, uint64, error) {
-			cur := s.sys.ReplicationInfo()
-			return cur.BaseSeq, cur.TotalSeq, nil
-		},
-		term: s.sys.Term,
-		ended: func(startTerm uint64) bool {
-			return s.sys.Term() != startTerm || s.sys.Fenced()
-		},
-	}, nil
+	return lg, nil
 }
 
 func (s *Server) replicationWAL(w http.ResponseWriter, r *http.Request) {
 	s.gossipTerm(r)
-	lg, err := s.servedWAL()
+	lg, err := s.downstreamLog()
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	baseSeq, totalSeq, err := lg.info()
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
 	from := uint64(0)
@@ -267,27 +225,21 @@ func (s *Server) replicationWAL(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if from < baseSeq {
+	rd, err := lg.Open(from)
+	if errors.Is(err, storage.ErrSeqGap) {
 		// The requested position is inside the latest snapshot (or behind
-		// a relay compaction): the consumer fell behind and must
-		// re-bootstrap from this node.
-		writeErr(w, http.StatusGone, fmt.Errorf("seq %d compacted into snapshot (base %d): bootstrap again", from, baseSeq))
+		// a relay compaction), or ahead of this node's durable history (a
+		// diverged follower, e.g. one that applied records a primary crash
+		// retracted; resuming would splice histories). Either way the
+		// consumer must re-bootstrap from this node.
+		writeErr(w, http.StatusGone, fmt.Errorf("%w: bootstrap again", err))
 		return
 	}
-	if from > totalSeq {
-		// The consumer claims records this node does not (durably) have —
-		// a diverged follower (e.g. it applied records a primary crash
-		// retracted). Resuming would splice histories; rebuild.
-		writeErr(w, http.StatusGone, fmt.Errorf("seq %d is ahead of this node's durable history (%d): bootstrap again", from, totalSeq))
-		return
-	}
-
-	t, err := storage.OpenTailer(lg.path)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	defer t.Close()
+	defer rd.Close()
 
 	// Count the stream for the fan-out measurement: a cascading tier is
 	// working exactly when the leaf tier's consumers show up in the
@@ -297,110 +249,27 @@ func (s *Server) replicationWAL(w http.ResponseWriter, r *http.Request) {
 
 	// The whole stream is served under ONE promotion term, stamped on
 	// the response header before the first frame: the follower fences on
-	// it per-record, and the handler ends the stream the moment the term
-	// moves (or this node is fenced/promoted) so the header can never go
-	// stale.
-	startTerm := lg.term()
+	// it per-record, and Follow ends the stream the moment the term moves
+	// (or this node is fenced/promoted) so the header can never go stale.
+	term := lg.Term()
 	flusher, _ := w.(http.Flusher)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Replication-From", strconv.FormatUint(from, 10))
-	w.Header().Set(wireTermHeader, formatTerm(startTerm))
+	w.Header().Set(wireTermHeader, formatTerm(term))
 	w.WriteHeader(http.StatusOK)
 	if flusher != nil {
 		flusher.Flush() // commit the headers so the follower knows it's live
 	}
-
-	poll := s.walPoll
-	if poll <= 0 {
-		poll = defaultWALPoll
-	}
-	ctx := r.Context()
-	skip := from - baseSeq
-	var batch []byte // reused wire-form batch buffer (see Tailer.AppendNext)
-	// Each round: read a batch of frames from the file, then VALIDATE
-	// that the base did not move before shipping a single byte of it.
-	// Truncation (WAL snapshot or relay compaction) reuses the inode and
-	// frames carry no sequence number, so a compaction racing the reads
-	// could otherwise hand us new-epoch bytes under old-epoch
-	// coordinates. Both logs publish base/total under the same lock their
-	// truncation holds — so an unchanged base observed AFTER the reads
-	// proves no truncation preceded them (see ReplicationInfo's and
-	// RelayLog.Info's doc comments).
-	for {
-		if lg.ended(startTerm) {
-			// The term the header promised no longer holds (this node was
-			// fenced, or promoted mid-stream): end cleanly. The consumer's
-			// reconnect re-reads the term from the fresh header.
-			return
+	// The batches are the frames' exact on-disk bytes (the on-disk layout
+	// IS the protocol), shipped verbatim from one reused buffer.
+	_ = lg.Follow(r.Context(), rd, term, func(frames []byte) error {
+		if _, err := w.Write(frames); err != nil {
+			return err // client went away
 		}
-		curBase, curTotal, err := lg.info()
-		if err != nil {
-			return // relay latched a write failure: stop serving
+		s.walBytes.Add(uint64(len(frames)))
+		if flusher != nil {
+			flusher.Flush()
 		}
-		if curBase != baseSeq {
-			// Compacted underneath us: everything already streamed is a
-			// correct prefix. End cleanly; the consumer reconnects, and
-			// its next `from` is either >= the new base (resume) or
-			// behind it (410, re-bootstrap).
-			return
-		}
-		// Ship only records inside the published window: limit is the
-		// durable (primary) or applied (relay) boundary as of this round.
-		limit := curTotal - baseSeq
-		for skip > 0 && t.Seq() < limit {
-			n, err := t.Skip(minU64(skip, limit-t.Seq()))
-			skip -= n
-			if err != nil || n == 0 {
-				if err != nil && !errors.Is(err, storage.ErrNoRecord) {
-					return
-				}
-				break
-			}
-		}
-		batch = batch[:0]
-		if skip == 0 {
-			for t.Seq() < limit && len(batch) < maxStreamBatchBytes {
-				next, err := t.AppendNext(batch)
-				if errors.Is(err, storage.ErrNoRecord) {
-					break
-				}
-				if err != nil {
-					return // reset or I/O error: consumer reconnects
-				}
-				// The appended bytes are the frame's exact wire form (the
-				// on-disk layout IS the protocol), so the batch buffer is
-				// shipped verbatim and reused round after round.
-				batch = next
-			}
-		}
-		if cur2Base, _, err := lg.info(); err != nil || cur2Base != baseSeq {
-			return // reads raced a compaction: discard the batch unsent
-		}
-		if len(batch) > 0 {
-			if _, err := w.Write(batch); err != nil {
-				return // client went away
-			}
-			s.walBytes.Add(uint64(len(batch)))
-			if flusher != nil {
-				flusher.Flush()
-			}
-			continue // drain the backlog without sleeping
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(poll):
-		}
-	}
-}
-
-// maxStreamBatchBytes bounds how many frame bytes one validation round
-// holds in memory before shipping.
-const maxStreamBatchBytes = 4 << 20
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
+		return nil
+	})
 }

@@ -29,7 +29,6 @@ func TestReplicaOverHTTP(t *testing.T) {
 	}
 	defer sys.Close()
 	primarySrv := New(sys)
-	primarySrv.walPoll = time.Millisecond
 	pts := httptest.NewServer(primarySrv)
 	defer pts.Close()
 	client := wire.NewClient(pts.URL)

@@ -38,9 +38,6 @@ type Server struct {
 	// 403 (core.ErrReadOnly), and /v1/replication/status reports the
 	// replica role.
 	rep *core.Replica
-	// walPoll overrides the replication stream's idle polling cadence
-	// (tests set it low; 0 selects defaultWALPoll).
-	walPoll time.Duration
 	// stream holds the streaming-endpoint machinery (ingest counters,
 	// lazily-built event bus); maxLag arms the replica read barrier
 	// (SetFollowLagMax).

@@ -47,9 +47,8 @@ type streamState struct {
 	ingMu sync.Mutex
 	ing   *stream.Ingestor
 
-	busMu  sync.Mutex
-	bus    *stream.Bus
-	busCfg stream.BusConfig
+	busMu sync.Mutex
+	bus   *stream.Bus
 
 	// cursors maps subscriber cursor tokens to acked event sequences
 	// (cursor=<token> on /v1/stream/events, POST /v1/stream/ack),
@@ -82,20 +81,11 @@ func (s *Server) eventBus() (*stream.Bus, error) {
 	st.busMu.Lock()
 	defer st.busMu.Unlock()
 	if st.bus == nil {
-		var b *stream.Bus
-		var err error
-		if s.isFollower() {
-			if _, _, ok := s.rep.RelayInfo(); !ok {
-				return nil, errRelayUnarmed
-			}
-			b, err = stream.NewBusFrom(stream.ReplicaFeed{Rep: s.rep}, st.busCfg)
-		} else {
-			b, err = stream.NewBus(s.sys, st.busCfg)
-		}
+		lg, err := s.downstreamLog()
 		if err != nil {
 			return nil, err
 		}
-		st.bus = b
+		st.bus = stream.NewBus(lg)
 	}
 	return st.bus, nil
 }

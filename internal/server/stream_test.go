@@ -308,7 +308,7 @@ func TestStreamEventsCompactedFrom(t *testing.T) {
 // TestStreamEndpointsOnReplica: the follower serves neither half.
 func TestStreamEndpointsOnReplica(t *testing.T) {
 	sys, _, _, _, _ := streamSite(t, 2, t.TempDir(), "alice")
-	rep, err := core.NewReplica(&core.LocalSource{Primary: sys})
+	rep, err := core.NewReplica(&core.LogSource{Node: sys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestStreamEndpointsOnReplica(t *testing.T) {
 // servable.
 func TestFollowLagMaxBarrier(t *testing.T) {
 	sys, _, _, _, _ := streamSite(t, 2, t.TempDir(), "alice")
-	rep, err := core.NewReplica(&core.LocalSource{Primary: sys})
+	rep, err := core.NewReplica(&core.LogSource{Node: sys})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,8 @@
 // GET /v1/replication/wal and the committed-event feed to a downstream
 // tier it persists each applied record's frame into a RelayLog, in the
 // exact on-disk layout the WAL uses (Frame). Downstream consumers then
-// tail the relay file with the ordinary Tailer, and every
-// read-then-validate protocol built for the WAL works unchanged: Reset
-// truncates in place (reusing the inode, so open tailers observe
+// read the relay file through the same validated LogReader as the WAL:
+// Reset truncates in place (reusing the inode, so open readers observe
 // ErrWALReset), and Info publishes base/total under the same lock the
 // truncation holds.
 //
@@ -31,7 +30,7 @@ const DefaultRelayMaxBytes = 256 << 20
 
 // RelayLog is an append-only frame log positioned in the global
 // replication sequence space. Safe for concurrent use; readers open
-// their own Tailer on Path().
+// their own LogReader on Path().
 type RelayLog struct {
 	mu   sync.Mutex
 	f    *os.File

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"slices"
 )
 
 // ErrNoRecord reports that the log currently ends before the next
@@ -80,6 +81,8 @@ type Tailer struct {
 	// partialBytes is the torn-tail size observed by the last failed
 	// read, for State.
 	partialBytes int64
+	// scratch is the frame buffer Skip reads into and discards.
+	scratch []byte
 }
 
 // OpenTailer opens the log at path for following. The file must exist
@@ -110,51 +113,14 @@ func (t *Tailer) State() TailState {
 	}
 }
 
-// NextBody returns the next frame's body, advancing the tailer. It
-// returns ErrNoRecord when the log ends before the next complete,
-// checksum-valid frame (retry later; State reports how many bytes of a
-// partial frame are pending), and ErrWALReset when the file shrank below
-// the current position.
+// NextBody returns the next frame's body, advancing the tailer. Errors
+// are AppendNext's.
 func (t *Tailer) NextBody() ([]byte, error) {
-	st, err := t.f.Stat()
+	fr, err := t.AppendNext(nil)
 	if err != nil {
 		return nil, err
 	}
-	size := st.Size()
-	if size < t.off {
-		return nil, ErrWALReset
-	}
-	avail := size - t.off
-	if avail < frameHeader {
-		return nil, t.noRecord(avail)
-	}
-	var hdr [frameHeader]byte
-	if _, err := t.f.ReadAt(hdr[:], t.off); err != nil {
-		return nil, err
-	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	sum := binary.LittleEndian.Uint32(hdr[4:8])
-	if length == 0 || length > MaxFrameSize {
-		// On a live log a garbage length can only be an in-flight write
-		// reaching disk out of order; treat it as a torn tail and let the
-		// writer finish. (True mid-log corruption parks the tailer here —
-		// the same stop-at-last-valid-checksum stance recovery takes.)
-		return nil, t.noRecord(avail)
-	}
-	if avail < frameHeader+int64(length) {
-		return nil, t.noRecord(avail)
-	}
-	body := make([]byte, length)
-	if _, err := t.f.ReadAt(body, t.off+frameHeader); err != nil {
-		return nil, err
-	}
-	if crc32.ChecksumIEEE(body) != sum {
-		return nil, t.noRecord(avail)
-	}
-	t.off += frameHeader + int64(length)
-	t.seq++
-	t.partialBytes = 0
-	return body, nil
+	return fr[frameHeader:], nil
 }
 
 // AppendNext appends the next frame — header AND body, the exact wire
@@ -163,8 +129,11 @@ func (t *Tailer) NextBody() ([]byte, error) {
 // the returned slice reads an entire replication batch with zero
 // steady-state allocations, because the bytes on disk already ARE the
 // bytes on the wire. The frame's checksum is validated before the
-// append is kept; errors are exactly NextBody's (dst is returned
-// unextended on any error).
+// append is kept. It returns ErrNoRecord when the log ends before the
+// next complete, checksum-valid frame (retry later; State reports how
+// many bytes of a partial frame are pending), and ErrWALReset when the
+// file shrank below the current position; dst is returned unextended on
+// any error.
 func (t *Tailer) AppendNext(dst []byte) ([]byte, error) {
 	st, err := t.f.Stat()
 	if err != nil {
@@ -185,17 +154,17 @@ func (t *Tailer) AppendNext(dst []byte) ([]byte, error) {
 	length := binary.LittleEndian.Uint32(hdr[0:4])
 	sum := binary.LittleEndian.Uint32(hdr[4:8])
 	if length == 0 || length > MaxFrameSize {
+		// On a live log a garbage length can only be an in-flight write
+		// reaching disk out of order; treat it as a torn tail and let the
+		// writer finish. (True mid-log corruption parks the tailer here —
+		// the same stop-at-last-valid-checksum stance recovery takes.)
 		return dst, t.noRecord(avail)
 	}
 	if avail < frameHeader+int64(length) {
 		return dst, t.noRecord(avail)
 	}
 	base := len(dst)
-	need := base + int(frameHeader) + int(length)
-	for cap(dst) < need {
-		dst = append(dst[:cap(dst)], 0) // grow by append's policy, no fresh slice
-	}
-	dst = dst[:need]
+	dst = slices.Grow(dst, frameHeader+int(length))[:base+frameHeader+int(length)]
 	copy(dst[base:], hdr[:])
 	body := dst[base+frameHeader:]
 	if _, err := t.f.ReadAt(body, t.off+frameHeader); err != nil {
@@ -217,8 +186,8 @@ func (t *Tailer) noRecord(avail int64) error {
 }
 
 // Next decodes the next frame into a Record. Framing-level waits surface
-// as ErrNoRecord/ErrWALReset from NextBody; a frame that passes its
-// checksum but does not decode is real corruption (ErrCorrupt).
+// as ErrNoRecord/ErrWALReset; a frame that passes its checksum but does
+// not decode is real corruption (ErrCorrupt).
 func (t *Tailer) Next() (Record, error) {
 	body, err := t.NextBody()
 	if err != nil {
@@ -231,20 +200,20 @@ func (t *Tailer) Next() (Record, error) {
 	return rec, nil
 }
 
-// Skip consumes up to n frames without decoding them, returning how many
+// Skip consumes up to n frames without keeping them, returning how many
 // it consumed. It stops early (with a nil error) at a clean or torn
-// tail; callers resume by polling. It is how a follower seeks to its
-// resume sequence after a restart.
+// tail; callers resume by polling. It is how a reader seeks to its
+// resume sequence.
 func (t *Tailer) Skip(n uint64) (uint64, error) {
 	var skipped uint64
-	for skipped < n {
-		if _, err := t.NextBody(); err != nil {
+	for ; skipped < n; skipped++ {
+		var err error
+		if t.scratch, err = t.AppendNext(t.scratch[:0]); err != nil {
 			if errors.Is(err, ErrNoRecord) {
-				return skipped, nil
+				err = nil
 			}
 			return skipped, err
 		}
-		skipped++
 	}
 	return skipped, nil
 }

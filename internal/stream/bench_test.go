@@ -2,7 +2,6 @@ package stream
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/interval"
 )
@@ -20,11 +19,7 @@ func BenchmarkStreamEventReplay(b *testing.B) {
 		}
 	}
 	total := sys.ReplicationInfo().TotalSeq
-	bus, err := NewBus(sys, BusConfig{Poll: time.Millisecond})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer bus.Close()
+	bus := newTestBus(b, sys)
 
 	b.ResetTimer()
 	var delivered uint64

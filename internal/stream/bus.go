@@ -1,4 +1,5 @@
-// The committed-event bus: one shared pump tails the primary's WAL —
+// The committed-event bus: one shared pump follows the node's served log
+// (core.ServedLog: a primary's WAL or a cascading follower's relay) —
 // the committed history, in exactly the order every replica applies it —
 // decodes each durable record into an Event, and fans it out to
 // subscribers. Alerts from the audit log ride the same feed in their own
@@ -6,27 +7,31 @@
 //
 // Fan-out discipline:
 //
-//   - One shared storage.Tailer pump serves every subscriber's live
-//     phase; it wakes on the System's commit notifications and falls
-//     back to polling, so feed latency is bounded by the commit barrier,
-//     not a poll interval.
+//   - One shared pump serves every subscriber's live phase; it wakes on
+//     the log's wakeup (core.ServedLog.Changed), so feed latency is
+//     bounded by the commit barrier, not a poll interval.
 //   - Each subscriber owns a bounded queue. The pump never blocks on a
 //     subscriber: a queue that is full when a live event arrives gets
 //     the subscriber EVICTED (ErrSlowConsumer, with an in-band KindError
 //     frame naming the sequence to resubscribe from). The log is the
 //     buffer of record — an evicted client loses nothing by
 //     resubscribing from its last seen sequence.
-//   - A subscriber behind the live position catches up from the WAL
+//   - A subscriber behind the live position catches up from the log
 //     itself on its own goroutine (the log IS the replay buffer), then
 //     splices into the live feed under the bus lock with no gap and no
 //     duplicate. Only the compaction horizon limits how far back a
 //     subscription can start (ErrCompacted → HTTP 410).
+//   - The pump and every catch-up read through storage.LogReader, which
+//     hands out a batch only after re-reading the log's base: a
+//     compaction racing the reads can never surface a new-epoch record
+//     under an old-epoch sequence number.
 package stream
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -46,11 +51,10 @@ func retryJitter() {
 	time.Sleep(500*time.Microsecond + time.Duration(rand.Int63n(int64(time.Millisecond))))
 }
 
-// Bus defaults.
-const (
-	DefaultSubscriberBuffer = 1024
-	DefaultBusPoll          = 25 * time.Millisecond
-)
+// DefaultSubscriberBuffer is the per-subscriber queue length when
+// SubscribeOptions.Buffer is 0. A subscriber whose queue is full when a
+// live event arrives is evicted.
+const DefaultSubscriberBuffer = 1024
 
 // ErrSlowConsumer reports an eviction: the subscriber's queue was full
 // when a live event arrived. Resubscribe from the last seen sequence.
@@ -63,18 +67,6 @@ var ErrCompacted = errors.New("stream: requested events compacted into a snapsho
 // ErrBusClosed reports a subscription ended by Bus.Close or
 // Subscription.Close.
 var ErrBusClosed = errors.New("stream: subscription closed")
-
-// BusConfig tunes the bus. The zero value selects the defaults.
-type BusConfig struct {
-	// SubscriberBuffer is the per-subscriber queue length (<= 0 selects
-	// DefaultSubscriberBuffer). A subscriber whose queue is full when a
-	// live event arrives is evicted.
-	SubscriberBuffer int
-	// Poll is the pump's idle fallback cadence (<= 0 selects
-	// DefaultBusPoll); the commit notification channel is the primary
-	// wakeup.
-	Poll time.Duration
-}
 
 // BusStats is a point-in-time snapshot of the bus counters.
 type BusStats struct {
@@ -102,63 +94,13 @@ type BusStats struct {
 	DecodeSkips uint64 `json:"decode_skips,omitempty"`
 }
 
-// FeedSource is the log a Bus pumps from: a durable primary's WAL
-// (SystemFeed) or a cascading follower's relay log (ReplicaFeed). The
-// contract is the WAL's read-then-validate protocol: FeedInfo publishes
-// (base, total) under the same lock any truncation holds, the file at
-// FeedLogPath holds exactly total-base frames laid out as
-// storage.Frame, and a truncation reuses the inode (tailers observe
-// ErrWALReset and re-resolve).
-type FeedSource interface {
-	// FeedInfo reports the log's coordinates: base is the compaction
-	// horizon, total the durable/applied frontier. ok is false when the
-	// source cannot host a feed right now (no durability, relay broken).
-	FeedInfo() (base, total uint64, ok bool)
-	// FeedLogPath is the frame log's file path.
-	FeedLogPath() string
-	// FeedNotify is the frontier wakeup channel (collapsed sends).
-	FeedNotify() <-chan struct{}
-	// FeedAlerts is the audit log whose alerts ride the feed.
-	FeedAlerts() *audit.Log
-}
-
-// SystemFeed serves the bus from a durable primary's WAL.
-type SystemFeed struct{ Sys *core.System }
-
-func (f SystemFeed) FeedInfo() (uint64, uint64, bool) {
-	info := f.Sys.ReplicationInfo()
-	return info.BaseSeq, info.TotalSeq, info.Durable
-}
-func (f SystemFeed) FeedLogPath() string          { return f.Sys.WALPath() }
-func (f SystemFeed) FeedNotify() <-chan struct{}  { return f.Sys.CommitNotify() }
-func (f SystemFeed) FeedAlerts() *audit.Log       { return f.Sys.Alerts() }
-func (f SystemFeed) FeedTrace() *obs.PipelineTrace { return f.Sys.Trace() }
-
-// ReplicaFeed serves the bus from a cascading follower's relay log: the
-// follower re-raises every alert deterministically as it applies the
-// shipped records (the same dispatch the primary's mutations run), so
-// alerts ride the relay-backed feed in the same sequence space as on
-// the primary.
-type ReplicaFeed struct{ Rep *core.Replica }
-
-func (f ReplicaFeed) FeedInfo() (uint64, uint64, bool) { return f.Rep.RelayInfo() }
-func (f ReplicaFeed) FeedLogPath() string {
-	if rl := f.Rep.Relay(); rl != nil {
-		return rl.Path()
-	}
-	return ""
-}
-func (f ReplicaFeed) FeedNotify() <-chan struct{}  { return f.Rep.ApplyNotify() }
-func (f ReplicaFeed) FeedAlerts() *audit.Log       { return f.Rep.System().Alerts() }
-func (f ReplicaFeed) FeedTrace() *obs.PipelineTrace { return f.Rep.System().Trace() }
-
 // Bus fans the committed-event feed out to subscribers.
 type Bus struct {
-	src FeedSource
-	cfg BusConfig
-	// trace receives the deliver stamp for every record fanned out, when
-	// the feed source exposes its pipeline trace (see feedTracer).
-	trace *obs.PipelineTrace
+	log core.ServedLog
+	// alerts is the node's audit log, whose alerts ride the feed; trace
+	// receives the deliver stamp for every record fanned out.
+	alerts *audit.Log
+	trace  *obs.PipelineTrace
 
 	mu      sync.Mutex
 	subs    map[*Subscription]struct{}
@@ -175,42 +117,16 @@ type Bus struct {
 	decodeSkips                     atomic.Uint64
 }
 
-// NewBus builds a bus over a durable primary. The WAL is the feed's
-// source of truth, so a system without durability cannot host one. (A
-// cascading follower hosts a bus over its relay log instead — see
-// NewBusFrom and ReplicaFeed.)
-func NewBus(sys *core.System, cfg BusConfig) (*Bus, error) {
-	if !sys.ReplicationInfo().Durable {
-		return nil, errors.New("stream: the event bus requires a durable primary (set Config.DataDir)")
-	}
-	return NewBusFrom(SystemFeed{Sys: sys}, cfg)
-}
-
-// NewBusFrom builds a bus over any frame-log source: the primary's WAL
-// or a cascading follower's relay.
-func NewBusFrom(src FeedSource, cfg BusConfig) (*Bus, error) {
-	if _, _, ok := src.FeedInfo(); !ok {
-		return nil, errors.New("stream: the event bus requires a durable feed source (a primary WAL or a follower relay log)")
-	}
-	if cfg.SubscriberBuffer <= 0 {
-		cfg.SubscriberBuffer = DefaultSubscriberBuffer
-	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = DefaultBusPoll
-	}
-	b := &Bus{src: src, cfg: cfg, subs: make(map[*Subscription]struct{})}
-	if ft, ok := src.(feedTracer); ok {
-		b.trace = ft.FeedTrace()
-	}
-	b.cancelAlerts = src.FeedAlerts().Subscribe(b.publishAlert)
-	return b, nil
-}
-
-// feedTracer is the optional FeedSource face that exposes the node's
-// pipeline trace, so bus delivery lands on the same per-sequence stage
-// clock as the commit pipeline.
-type feedTracer interface {
-	FeedTrace() *obs.PipelineTrace
+// NewBus builds a bus over a node's served log: a durable primary's WAL
+// or a cascading follower's relay. Alerts come from the node the log
+// belongs to: a follower re-raises every alert deterministically as it
+// applies the shipped records, so they ride the relay-backed feed in the
+// same sequence space as on the primary.
+func NewBus(lg core.ServedLog) *Bus {
+	sys := lg.System()
+	b := &Bus{log: lg, alerts: sys.Alerts(), trace: sys.Trace(), subs: make(map[*Subscription]struct{})}
+	b.cancelAlerts = b.alerts.Subscribe(b.publishAlert)
+	return b
 }
 
 // Close detaches the alert feed and terminates every subscription.
@@ -293,7 +209,8 @@ type SubscribeOptions struct {
 	// only. Either way, alert delivery still requires the filter to
 	// admit KindAlert.
 	AlertsSince *uint64
-	// Buffer overrides the per-subscriber queue length (0 = bus default).
+	// Buffer overrides the per-subscriber queue length (0 selects
+	// DefaultSubscriberBuffer).
 	Buffer int
 }
 
@@ -302,7 +219,10 @@ type SubscribeOptions struct {
 // horizon lives in snapshots; bootstrap a replica instead); From 0
 // means "everything retained" and clamps to the horizon.
 func (b *Bus) Subscribe(opts SubscribeOptions) (*Subscription, error) {
-	base, total, _ := b.src.FeedInfo()
+	base, total, err := b.log.Window()
+	if err != nil {
+		return nil, err
+	}
 	if opts.From == 0 {
 		opts.From = base
 	}
@@ -312,7 +232,7 @@ func (b *Bus) Subscribe(opts SubscribeOptions) (*Subscription, error) {
 	}
 	buf := opts.Buffer
 	if buf <= 0 {
-		buf = b.cfg.SubscriberBuffer
+		buf = DefaultSubscriberBuffer
 	}
 	s := &Subscription{
 		bus:    b,
@@ -340,31 +260,6 @@ func (b *Bus) Subscribe(opts SubscribeOptions) (*Subscription, error) {
 	return s, nil
 }
 
-// resolveTailer opens the live log positioned at global sequence next,
-// given the base the caller observed. It validates AFTER the skip — the
-// same read-then-validate stance as the replication stream handler —
-// that no compaction raced the positioning: `Truncate` reuses the inode
-// and frames carry no sequence numbers, so only an unchanged BaseSeq
-// proves the skipped frames were the intended ones (a short skip is the
-// same interference seen from the other side: every frame below the
-// durable frontier is fully on disk, so an honest file never runs out).
-// Returns nil on any interference; the caller retries after re-reading
-// ReplicationInfo.
-func (b *Bus) resolveTailer(next, base uint64) *storage.Tailer {
-	nt, err := storage.OpenTailer(b.src.FeedLogPath())
-	if err != nil {
-		return nil
-	}
-	want := next - base
-	n, err := nt.Skip(want)
-	curBase, _, ok := b.src.FeedInfo()
-	if err != nil || n != want || !ok || curBase != base {
-		nt.Close()
-		return nil
-	}
-	return nt
-}
-
 // startPumpLocked boots the shared live pump at record sequence `at`.
 // Callers hold b.mu.
 func (b *Bus) startPumpLocked(at uint64) {
@@ -374,18 +269,17 @@ func (b *Bus) startPumpLocked(at uint64) {
 	go b.pump(b.pumpGen)
 }
 
-// pump is the shared live loop: follow the durable frontier of the WAL,
+// pump is the shared live loop: follow the durable frontier of the log,
 // decode each record once, fan it out. It exits when the bus goes idle
 // (no subscribers, no catch-ups) or a newer generation replaces it.
 func (b *Bus) pump(gen uint64) {
-	var t *storage.Tailer
-	var base uint64
+	var rd *storage.LogReader
 	defer func() {
-		if t != nil {
-			t.Close()
+		if rd != nil {
+			rd.Close()
 		}
 	}()
-	notify := b.src.FeedNotify()
+	var batch []byte
 	for {
 		b.mu.Lock()
 		if b.pumpGen != gen {
@@ -400,83 +294,81 @@ func (b *Bus) pump(gen uint64) {
 		next := b.nextSeq
 		b.mu.Unlock()
 
-		srcBase, srcTotal, ok := b.src.FeedInfo()
-		if !ok {
-			// The source cannot serve right now (a follower relay latched
-			// a write failure): stall rather than publish wrong data.
-			select {
-			case <-notify:
-			case <-time.After(b.cfg.Poll):
-			}
-			continue
+		changed := b.log.Changed()
+		if rd == nil {
+			rd = b.openLive(gen, next)
 		}
-		if t == nil || base != srcBase {
-			if t != nil {
-				t.Close()
-				t = nil
+		var err error
+		batch = batch[:0]
+		if rd != nil {
+			seq := rd.Seq()
+			if batch, err = rd.Read(batch, math.MaxUint64); err != nil {
+				rd.Close()
+				rd = nil
 			}
-			if next < srcBase {
-				// A compaction consumed records the pump had not read yet:
-				// those events are gone from the feed (the state they
-				// built is in the snapshot). Count and move on.
-				b.lost.Add(srcBase - next)
-				b.mu.Lock()
-				if b.pumpGen == gen && b.nextSeq < srcBase {
-					b.nextSeq = srcBase
-				}
-				b.mu.Unlock()
-				next = srcBase
-			}
-			if nt := b.resolveTailer(next, srcBase); nt != nil {
-				t, base = nt, srcBase
+			for rest := batch; len(rest) > 0; seq++ {
+				var body []byte
+				body, rest = storage.NextFrame(rest)
+				b.publishFrame(gen, seq, body)
 			}
 		}
-
-		progressed := false
-		if t != nil {
-			limit := srcTotal - base // ship only durable records
-			for t.Seq() < limit {
-				body, err := t.NextBody()
-				if err != nil {
-					// ErrNoRecord: the durable frontier outran the visible
-					// file for a moment; ErrWALReset (or anything else):
-					// re-resolve the base next round.
-					if !errors.Is(err, storage.ErrNoRecord) {
-						t.Close()
-						t = nil
-					}
-					break
-				}
-				seq := base + t.Seq() - 1
-				if b.publishSkipped(gen, seq) {
-					// Alert-only fast path: nobody live can match a record
-					// event, so neither the record nor the event was decoded.
-					progressed = true
-					continue
-				}
-				var rec storage.Record
-				var ev Event
-				derr := json.Unmarshal(body, &rec)
-				if derr == nil {
-					ev, derr = DecodeEvent(seq, rec)
-				}
-				if derr != nil {
-					// Undecodable records still occupy their sequence slot;
-					// skip it rather than stalling the feed.
-					b.lost.Add(1)
-					ev = Event{}
-				}
-				b.publishRecord(gen, seq, ev, derr == nil)
-				progressed = true
-			}
-		}
-		if !progressed {
-			select {
-			case <-notify:
-			case <-time.After(b.cfg.Poll):
-			}
+		// A compaction re-resolves at once; anything else (caught up, a
+		// log that cannot be served right now) waits for the log to move.
+		if len(batch) == 0 && !errors.Is(err, storage.ErrWALReset) {
+			b.log.Wait(changed, nil)
 		}
 	}
+}
+
+// openLive positions a reader at the pump's next sequence, or nil when
+// the log cannot be read right now (the caller waits and retries).
+// Records a compaction removed before the pump read them are gone from
+// the feed — the state they built is in the snapshot — so they are
+// counted lost and the pump resumes at the new base.
+func (b *Bus) openLive(gen, next uint64) *storage.LogReader {
+	base, _, err := b.log.Window()
+	if err != nil {
+		return nil
+	}
+	if next < base {
+		b.lost.Add(base - next)
+		b.mu.Lock()
+		if b.pumpGen == gen && b.nextSeq < base {
+			b.nextSeq = base
+		}
+		b.mu.Unlock()
+		next = base
+	}
+	rd, err := b.log.Open(next)
+	if err != nil {
+		return nil
+	}
+	return rd
+}
+
+// publishFrame publishes the record frame at seq. Undecodable records
+// still occupy their sequence slot: they are counted lost and skipped
+// rather than stalling the feed.
+func (b *Bus) publishFrame(gen, seq uint64, body []byte) {
+	if b.publishSkipped(gen, seq) {
+		// Alert-only fast path: nobody live can match a record event, so
+		// neither the record nor the event was decoded.
+		return
+	}
+	ev, err := decodeFrame(seq, body)
+	if err != nil {
+		b.lost.Add(1)
+	}
+	b.publishRecord(gen, seq, ev, err == nil)
+}
+
+// decodeFrame decodes one record frame body into its feed event.
+func decodeFrame(seq uint64, body []byte) (Event, error) {
+	var rec storage.Record
+	if err := json.Unmarshal(body, &rec); err != nil {
+		return Event{}, err
+	}
+	return DecodeEvent(seq, rec)
 }
 
 // publishSkipped is the alert-only fast path: when every live
@@ -710,15 +602,15 @@ func (s *Subscription) closedNow() bool {
 }
 
 // feed is the catch-up goroutine: read [next, live) straight from the
-// WAL — the log is the replay buffer — then splice into the live feed
+// log — the log is the replay buffer — then splice into the live feed
 // under the bus lock with no gap and no duplicate.
 func (s *Subscription) feed(alertsSince *uint64) {
 	b := s.bus
-	var t *storage.Tailer
-	var base uint64
+	var rd *storage.LogReader
+	var batch []byte
 	defer func() {
-		if t != nil {
-			t.Close()
+		if rd != nil {
+			rd.Close()
 		}
 		b.mu.Lock()
 		b.feeds--
@@ -751,7 +643,7 @@ func (s *Subscription) feed(alertsSince *uint64) {
 			// Position the alert cursor: explicit resume point (backlog
 			// replay, gated below), or "live only" = everything already
 			// retained is old news.
-			alerts := b.src.FeedAlerts()
+			alerts := b.alerts
 			var cursor uint64
 			if alertsSince != nil {
 				cursor = *alertsSince
@@ -809,65 +701,48 @@ func (s *Subscription) feed(alertsSince *uint64) {
 
 		// Catch up from the log: every record below target is durable and
 		// on disk (the pump read it from this same file), unless a
-		// compaction truncated it away — then re-resolve.
-		srcBase, _, ok := b.src.FeedInfo()
-		if !ok {
+		// compaction truncated it away — then the reader reports it and
+		// the position is re-resolved.
+		if rd == nil {
+			var err error
+			if rd, err = b.log.Open(s.next); err != nil {
+				if base, _, werr := b.log.Window(); werr == nil && s.next < base {
+					err := fmt.Errorf("%w: seq %d precedes the horizon %d; resubscribe from %d",
+						ErrCompacted, s.next, base, base)
+					s.fail(err, Event{Kind: KindError, Seq: base, Error: err.Error()})
+					return
+				}
+				retryJitter()
+				continue
+			}
+		}
+		var err error
+		if batch, err = rd.Read(batch[:0], target); err != nil || len(batch) == 0 {
+			// Interference (or a log that cannot be served right now):
+			// re-resolve from the top of the loop, which also re-checks
+			// closedNow.
+			if err != nil {
+				rd.Close()
+				rd = nil
+			}
 			retryJitter()
 			continue
 		}
-		if t == nil || base != srcBase {
-			if t != nil {
-				t.Close()
-				t = nil
-			}
-			if s.next < srcBase {
-				err := fmt.Errorf("%w: seq %d precedes the horizon %d; resubscribe from %d",
-					ErrCompacted, s.next, srcBase, srcBase)
-				s.fail(err, Event{Kind: KindError, Seq: srcBase, Error: err.Error()})
-				return
-			}
-			nt := b.resolveTailer(s.next, srcBase)
-			if nt == nil {
-				retryJitter()
-				continue
-			}
-			t, base = nt, srcBase
-		}
 		skipDecodes := alertOnly(s.filter)
-		for s.next < target {
+		for rest := batch; len(rest) > 0; {
+			var body []byte
+			body, rest = storage.NextFrame(rest)
+			seq := s.next
+			s.next++
 			if skipDecodes {
-				// Alert-only subscriber: no record event below target can
-				// match its filter, so the catch-up consumes the frames
-				// without decoding records or events at all.
-				if _, err := t.NextBody(); err != nil {
-					t.Close()
-					t = nil
-					retryJitter()
-					break
-				}
-				s.next++
+				// Alert-only subscriber: no record event can match its
+				// filter, so the frame is consumed without decoding.
 				b.decodeSkips.Add(1)
 				continue
 			}
-			rec, err := t.Next()
-			if err != nil {
-				// Any miss — including ErrNoRecord, which an uninterfered
-				// file cannot produce here (every record below target is
-				// durable and on disk) — means the log changed underneath
-				// us. Re-resolve from the top of the loop, which also
-				// re-checks closedNow, instead of spinning on this fd.
-				t.Close()
-				t = nil
-				retryJitter()
-				break
-			}
-			ev, derr := DecodeEvent(s.next, rec)
-			s.next++
-			if derr != nil {
-				continue // same stance as the pump: skip the slot
-			}
-			if !s.filter.Match(ev) {
-				continue
+			ev, err := decodeFrame(seq, body)
+			if err != nil || !s.filter.Match(ev) {
+				continue // an undecodable record skips its slot, as in the pump
 			}
 			if !send(ev) {
 				return

@@ -14,7 +14,7 @@ import (
 // again — the skip is an optimization, never a loss.
 func TestBusAlertOnlyDecodeFastPath(t *testing.T) {
 	sys, rooms, centers := gridSystem(t, 2, t.TempDir(), "alice")
-	b := newTestBus(t, sys, BusConfig{})
+	b := newTestBus(t, sys)
 
 	alertSub, err := b.Subscribe(SubscribeOptions{
 		From:   sys.ReplicationInfo().TotalSeq,

@@ -45,7 +45,7 @@ func TestBusAlertBacklogGapNotice(t *testing.T) {
 		t.Fatal("setup: no retained alerts")
 	}
 
-	b := newTestBus(t, sys, BusConfig{})
+	b := newTestBus(t, sys)
 	zero := uint64(0)
 	sub, err := b.Subscribe(SubscribeOptions{
 		From:        sys.ReplicationInfo().TotalSeq,

@@ -37,15 +37,13 @@ func collect(t testing.TB, sub *Subscription, n int) (records, alerts []Event) {
 	return records, alerts
 }
 
-func newTestBus(t testing.TB, sys *core.System, cfg BusConfig) *Bus {
+func newTestBus(t testing.TB, sys *core.System) *Bus {
 	t.Helper()
-	if cfg.Poll == 0 {
-		cfg.Poll = time.Millisecond
-	}
-	b, err := NewBus(sys, cfg)
+	lg, err := sys.ServedLog()
 	if err != nil {
 		t.Fatal(err)
 	}
+	b := NewBus(lg)
 	t.Cleanup(b.Close)
 	return b
 }
@@ -60,7 +58,7 @@ func TestBusReplayThenLive(t *testing.T) {
 	}
 	total := sys.ReplicationInfo().TotalSeq
 
-	b := newTestBus(t, sys, BusConfig{})
+	b := newTestBus(t, sys)
 	sub, err := b.Subscribe(SubscribeOptions{From: 0})
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +104,7 @@ func TestBusFilters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b := newTestBus(t, sys, BusConfig{})
+	b := newTestBus(t, sys)
 	sub, err := b.Subscribe(SubscribeOptions{From: 0, Filter: Filter{Subject: "alice", Kinds: []EventKind{KindEnter}}})
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +128,7 @@ func TestBusFilters(t *testing.T) {
 // the condition.
 func TestBusSlowConsumerEvicted(t *testing.T) {
 	sys, rooms, _ := gridSystem(t, 2, t.TempDir(), "alice")
-	b := newTestBus(t, sys, BusConfig{})
+	b := newTestBus(t, sys)
 	sub, err := b.Subscribe(SubscribeOptions{From: sys.ReplicationInfo().TotalSeq, Buffer: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +215,7 @@ func TestBusAlertBacklogAndLive(t *testing.T) {
 		t.Fatal("setup: no alert raised")
 	}
 
-	b := newTestBus(t, sys, BusConfig{})
+	b := newTestBus(t, sys)
 	zero := uint64(0)
 	sub, err := b.Subscribe(SubscribeOptions{
 		From:        sys.ReplicationInfo().TotalSeq,
@@ -266,7 +264,7 @@ func TestBusSubscribeBehindHorizon(t *testing.T) {
 	if sys.ReplicationInfo().BaseSeq == 0 {
 		t.Fatal("setup: compaction did not move the base")
 	}
-	b := newTestBus(t, sys, BusConfig{})
+	b := newTestBus(t, sys)
 	// An explicit position inside the compacted prefix is a real gap.
 	if _, err := b.Subscribe(SubscribeOptions{From: 1}); !errors.Is(err, ErrCompacted) {
 		t.Fatalf("subscribe behind horizon: %v, want ErrCompacted", err)
@@ -299,7 +297,7 @@ func TestBusSubscribeBehindHorizon(t *testing.T) {
 // order, across the catch-up→live handoff. Run with -race.
 func TestBusCatchUpSplicesGapFree(t *testing.T) {
 	sys, rooms, _ := gridSystem(t, 2, t.TempDir(), "alice")
-	b := newTestBus(t, sys, BusConfig{})
+	b := newTestBus(t, sys)
 
 	const moves = 300
 	errc := make(chan error, 1)
@@ -335,7 +333,7 @@ func TestBusCatchUpSplicesGapFree(t *testing.T) {
 // with ErrBusClosed.
 func TestBusCloseTerminatesSubscribers(t *testing.T) {
 	sys, _, _ := gridSystem(t, 2, t.TempDir(), "alice")
-	b := newTestBus(t, sys, BusConfig{})
+	b := newTestBus(t, sys)
 	sub, err := b.Subscribe(SubscribeOptions{From: sys.ReplicationInfo().TotalSeq})
 	if err != nil {
 		t.Fatal(err)
@@ -363,7 +361,7 @@ func TestBusCloseTerminatesSubscribers(t *testing.T) {
 // stamping S instead would annotate the previous record (regression).
 func TestBusDeliverStampCorrelation(t *testing.T) {
 	sys, rooms, _ := gridSystem(t, 2, t.TempDir(), "alice")
-	b := newTestBus(t, sys, BusConfig{})
+	b := newTestBus(t, sys)
 	sub, err := b.Subscribe(SubscribeOptions{From: sys.ReplicationInfo().TotalSeq})
 	if err != nil {
 		t.Fatal(err)

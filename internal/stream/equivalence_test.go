@@ -33,7 +33,7 @@ func TestSubscriberReplayReconstructsPrimary(t *testing.T) {
 
 	// The follower bootstraps at sequence 0, BEFORE any history exists:
 	// its entire state will come off the event feed.
-	rep, err := core.NewReplica(&core.LocalSource{Primary: sys})
+	rep, err := core.NewReplica(&core.LogSource{Node: sys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestSubscriberReplayReconstructsPrimary(t *testing.T) {
 	total := sys.ReplicationInfo().TotalSeq
 
 	// Subscribe from 0 and replay every record event into the follower.
-	b := newTestBus(t, sys, BusConfig{})
+	b := newTestBus(t, sys)
 	sub, err := b.Subscribe(SubscribeOptions{From: 0})
 	if err != nil {
 		t.Fatal(err)

@@ -129,7 +129,7 @@ func (m *MultiSource) Tail(ctx context.Context, from uint64, apply func(rec stor
 }
 
 // SourceTerm reports the term of the current endpoint's last stream
-// (core.TermedSource).
+// (core.ReplicaSource.SourceTerm).
 func (m *MultiSource) SourceTerm() uint64 {
 	return m.srcs[m.cur.Load()].SourceTerm()
 }

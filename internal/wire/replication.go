@@ -98,7 +98,7 @@ type ReplicationSource struct {
 	// MultiSource shares one cell across its whole endpoint list.
 	high *atomic.Uint64
 	// streamTerm is the term of the most recently opened Tail stream —
-	// the fencing input (core.TermedSource).
+	// the fencing input (core.ReplicaSource.SourceTerm).
 	streamTerm atomic.Uint64
 }
 
