@@ -192,14 +192,9 @@ func (s *System) epoch() uint64 {
 
 // record payloads.
 type (
-	idPayload   struct{ ID authz.ID }
-	namePayload struct{ Name string }
-	subjPayload struct{ ID profile.SubjectID }
-	movePayload struct {
-		T interval.Time
-		S profile.SubjectID
-		L graph.ID
-	}
+	idPayload       struct{ ID authz.ID }
+	namePayload     struct{ Name string }
+	subjPayload     struct{ ID profile.SubjectID }
 	tickPayload     struct{ T interval.Time }
 	strategyPayload struct{ Strategy int }
 )
@@ -484,19 +479,19 @@ func (s *System) apply(rec storage.Record) error {
 			return err
 		}
 		return s.removeRule(p.Name)
-	case "move.enter":
-		var p movePayload
-		if err := json.Unmarshal(rec.Data, &p); err != nil {
+	case storage.TypeMoveEnter:
+		m, err := storage.DecodeMove(rec.Data)
+		if err != nil {
 			return err
 		}
-		_, err := s.enter(p.T, p.S, p.L)
+		_, err = s.enter(interval.Time(m.T), profile.SubjectID(m.S), graph.ID(m.L))
 		return err
-	case "move.leave":
-		var p movePayload
-		if err := json.Unmarshal(rec.Data, &p); err != nil {
+	case storage.TypeMoveLeave:
+		m, err := storage.DecodeMove(rec.Data)
+		if err != nil {
 			return err
 		}
-		return s.leave(p.T, p.S)
+		return s.leave(interval.Time(m.T), profile.SubjectID(m.S))
 	case "tick":
 		var p tickPayload
 		if err := json.Unmarshal(rec.Data, &p); err != nil {
@@ -583,8 +578,12 @@ var waitNil = func() error { return nil }
 
 func waitErr(err error) func() error { return func() error { return err } }
 
-// encodeRecord marshals a typed mutation payload into a WAL record.
+// encodeRecord encodes a typed mutation payload into a WAL record: a
+// storage.Move in the binary movement body, anything else as JSON.
 func encodeRecord(typ string, v any) (storage.Record, error) {
+	if m, ok := v.(storage.Move); ok {
+		return storage.MoveRecord(typ, m)
+	}
 	data, err := json.Marshal(v)
 	if err != nil {
 		return storage.Record{}, err
@@ -950,7 +949,7 @@ func (s *System) enter(t interval.Time, sub profile.SubjectID, l graph.ID) (enfo
 		s.mu.Unlock()
 		return d, err
 	}
-	wait := s.logLocked("move.enter", movePayload{T: t, S: sub, L: l})
+	wait := s.logLocked(storage.TypeMoveEnter, storage.Move{T: int64(t), S: string(sub), L: string(l)})
 	s.mu.Unlock()
 	return d, wait()
 }
@@ -972,7 +971,7 @@ func (s *System) leave(t interval.Time, sub profile.SubjectID) error {
 		s.mu.Unlock()
 		return err
 	}
-	wait := s.logLocked("move.leave", movePayload{T: t, S: sub, L: from})
+	wait := s.logLocked(storage.TypeMoveLeave, storage.Move{T: int64(t), S: string(sub), L: string(from)})
 	s.mu.Unlock()
 	return wait()
 }
@@ -1085,6 +1084,19 @@ func (s *System) ObserveBatch(readings []Reading) ([]ObserveOutcome, error) {
 func (s *System) applyBatch(readings []Reading) ([]ObserveOutcome, []storage.Record) {
 	out := make([]ObserveOutcome, len(readings))
 	recs := make([]storage.Record, 0, len(readings))
+	// The movement bodies share one buffer. Each record's Data is capped
+	// to its own bytes, and a regrown buffer leaves the earlier bodies in
+	// the old array, so no record's Data is overwritten.
+	var buf []byte
+	logMove := func(typ string, r Reading, l graph.ID) {
+		if s.wal == nil || s.replaying {
+			return
+		}
+		start := len(buf)
+		// typ is a movement type, so the append cannot fail.
+		buf, _ = storage.AppendMove(buf, typ, storage.Move{T: int64(r.Time), S: string(r.Subject), L: string(l)})
+		recs = append(recs, storage.Record{Type: typ, Data: buf[start:len(buf):len(buf)], Obs: storage.RecordObs{Stamps: r.Stamps}})
+	}
 	for i, r := range readings {
 		loc := graph.ID(s.resolver.Resolve(r.At))
 		cur, inside := s.moves.CurrentLocation(r.Subject)
@@ -1097,16 +1109,8 @@ func (s *System) applyBatch(readings []Reading) ([]ObserveOutcome, []storage.Rec
 				continue
 			}
 			out[i].Moved = true
-			if s.wal != nil && !s.replaying {
-				// cur is the departed location, for the event feed.
-				rec, err := encodeRecord("move.leave", movePayload{T: r.Time, S: r.Subject, L: cur})
-				if err != nil {
-					out[i].Err = err
-					continue
-				}
-				rec.Obs.Stamps = r.Stamps
-				recs = append(recs, rec)
-			}
+			// cur is the departed location, for the event feed.
+			logMove(storage.TypeMoveLeave, r, cur)
 		case inside && loc == cur:
 			// Still in the same room: a no-op sample.
 		default:
@@ -1118,15 +1122,7 @@ func (s *System) applyBatch(readings []Reading) ([]ObserveOutcome, []storage.Rec
 			}
 			out[i].Moved = true
 			out[i].Entered = true
-			if s.wal != nil && !s.replaying {
-				rec, err := encodeRecord("move.enter", movePayload{T: r.Time, S: r.Subject, L: loc})
-				if err != nil {
-					out[i].Err = err
-					continue
-				}
-				rec.Obs.Stamps = r.Stamps
-				recs = append(recs, rec)
-			}
+			logMove(storage.TypeMoveEnter, r, loc)
 		}
 	}
 	return out, recs

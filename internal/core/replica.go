@@ -129,6 +129,8 @@ type Replica struct {
 	// where relay.log (and the cursor sidecar) live.
 	relay    *storage.RelayLog
 	relayDir string
+	// relayBuf is the reused encode buffer of the relay append.
+	relayBuf []byte
 	// notify is the apply wakeup: one token per appliedSeq advance,
 	// collapsed (capacity 1).
 	notify chan struct{}
@@ -233,9 +235,11 @@ func (r *Replica) ApplyRecord(rec storage.Record) error {
 	r.applyMu.Lock()
 	if err := r.sys.apply(rec); err != nil {
 		r.applyMu.Unlock()
-		err = fmt.Errorf("core: replica apply (seq %d, %s): %w", r.appliedSeq.Load(), rec.Type, err)
-		r.applyErr.Store(&err)
-		return err
+		// A fresh variable: storing the address of err itself would move
+		// it to the heap on every apply, not only on this path.
+		latched := fmt.Errorf("core: replica apply (seq %d, %s): %w", r.appliedSeq.Load(), rec.Type, err)
+		r.applyErr.Store(&latched)
+		return latched
 	}
 	applied := r.appliedSeq.Load() + 1
 	r.sys.trace.Stamp(applied, obs.StageReplicaApply, obs.Now())
@@ -244,7 +248,10 @@ func (r *Replica) ApplyRecord(rec storage.Record) error {
 		// write failure latches inside the RelayLog (this node stops
 		// serving downstream) but never fails replication itself: the
 		// relay is a cache, the upstream log is the record of truth.
-		if body, err := json.Marshal(rec); err == nil {
+		// The codec is canonical, so the re-encoded frame equals the
+		// upstream one byte for byte.
+		if body, err := storage.AppendRecord(r.relayBuf[:0], rec); err == nil {
+			r.relayBuf = body
 			_ = r.relay.Append(body)
 			r.sys.trace.Stamp(applied, obs.StageRelayAppend, obs.Now())
 		}

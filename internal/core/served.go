@@ -9,7 +9,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -238,9 +237,9 @@ func (l *LogSource) Tail(ctx context.Context, from uint64, apply func(storage.Re
 		for len(frames) > 0 {
 			var body []byte
 			body, frames = storage.NextFrame(frames)
-			var rec storage.Record
-			if err := json.Unmarshal(body, &rec); err != nil {
-				return fmt.Errorf("%w: %v", storage.ErrCorrupt, err)
+			rec, err := storage.DecodeRecord(body)
+			if err != nil {
+				return err
 			}
 			if err := apply(rec); err != nil {
 				return err

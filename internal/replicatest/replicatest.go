@@ -250,8 +250,8 @@ func (p *logPump) apply(n uint64) uint64 {
 		for rest := p.batch; len(rest) > 0; applied++ {
 			var body []byte
 			body, rest = storage.NextFrame(rest)
-			var rec storage.Record
-			if err := json.Unmarshal(body, &rec); err != nil {
+			rec, err := storage.DecodeRecord(body)
+			if err != nil {
 				p.tb.Fatalf("%s: %v", p.name, err)
 			}
 			if err := p.rep.ApplyRecord(rec); err != nil {

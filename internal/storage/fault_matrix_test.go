@@ -19,13 +19,53 @@ type matrixOutcome struct {
 	poisoned bool  // post-failure probe got ErrWALPoisoned
 }
 
+// matrixInput is one record shape the crash matrix commits: record i of
+// the workload, and the index a recovered record carries.
+type matrixInput struct {
+	rec   func(t *testing.T, i int) Record
+	index func(r Record) (int, error)
+}
+
+// jsonInput commits JSON-envelope records of type "m" carrying i.
+var jsonInput = matrixInput{
+	rec: func(t *testing.T, i int) Record { return rec(t, "m", i) },
+	index: func(r Record) (int, error) {
+		var got int
+		if err := json.Unmarshal(r.Data, &got); err != nil {
+			return 0, err
+		}
+		if r.Type != "m" {
+			return 0, fmt.Errorf("type %q", r.Type)
+		}
+		return got, nil
+	},
+}
+
+// moveInput commits binary movement records at time i.
+var moveInput = matrixInput{
+	rec: func(t *testing.T, i int) Record {
+		r, err := MoveRecord(TypeMoveEnter, Move{T: int64(i), S: "walker", L: "room"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	},
+	index: func(r Record) (int, error) {
+		m, err := DecodeMove(r.Data)
+		if err == nil && (r.Type != TypeMoveEnter || m.S != "walker" || m.L != "room") {
+			err = fmt.Errorf("record %s %+v", r.Type, m)
+		}
+		return int(m.T), err
+	},
+}
+
 // matrixWorkload is the canonical crash-matrix workload: a durable
 // committer (no relaxed acks) committing records m0..m{n-1}
 // one at a time, waiting out every barrier. Sequential commits mean the
 // nil-acked set is by construction a prefix; the run records where it
 // ends. After the first failure one probe commit checks the poison
 // latch.
-func matrixWorkload(t *testing.T, path string, n int, wrap func(File) File) matrixOutcome {
+func matrixWorkload(t *testing.T, in matrixInput, path string, n int, wrap func(File) File) matrixOutcome {
 	t.Helper()
 	w, err := OpenWALWith(path, wrap)
 	if err != nil {
@@ -34,14 +74,14 @@ func matrixWorkload(t *testing.T, path string, n int, wrap func(File) File) matr
 	c := NewCommitter(w, CommitterConfig{})
 	var out matrixOutcome
 	for i := 0; i < n; i++ {
-		if err := <-c.Commit(rec(t, "m", i)); err != nil {
+		if err := <-c.Commit(in.rec(t, i)); err != nil {
 			out.firstErr = err
 			break
 		}
 		out.acked++
 	}
 	if out.firstErr != nil {
-		out.poisoned = errors.Is(<-c.Commit(rec(t, "m", n)), ErrWALPoisoned)
+		out.poisoned = errors.Is(<-c.Commit(in.rec(t, n)), ErrWALPoisoned)
 		if !c.Poisoned() || !c.Stats().Poisoned {
 			t.Errorf("committer not marked poisoned after %v", out.firstErr)
 		}
@@ -58,16 +98,16 @@ func matrixWorkload(t *testing.T, path string, n int, wrap func(File) File) matr
 // recoveredPrefix reopens path fresh (no fault wrapper — the "disk" is
 // healthy again after the crash) and asserts the surviving records are
 // exactly m0..m{k-1} for some k, returning k.
-func recoveredPrefix(t *testing.T, path string) int {
+func recoveredPrefix(t *testing.T, in matrixInput, path string) int {
 	t.Helper()
 	next := 0
 	_, err := Replay(path, func(r Record) error {
-		var got int
-		if err := json.Unmarshal(r.Data, &got); err != nil {
-			return err
+		got, err := in.index(r)
+		if err != nil {
+			return fmt.Errorf("record %d: %v", next, err)
 		}
-		if r.Type != "m" || got != next {
-			return fmt.Errorf("record %d: got type %q payload %d", next, r.Type, got)
+		if got != next {
+			return fmt.Errorf("record %d: got index %d", next, got)
 		}
 		next++
 		return nil
@@ -87,20 +127,28 @@ func recoveredPrefix(t *testing.T, path string) int {
 // at least that prefix, contents intact, never a reordering or a
 // phantom), and the committer is permanently poisoned from the failure
 // on.
+//
+// It runs over two record shapes: JSON envelopes (subtests named by
+// site) and binary movement bodies (the same names prefixed "move-").
 func TestFaultMatrixAckedPrefixDurable(t *testing.T) {
+	faultMatrix(t, "", jsonInput)
+	faultMatrix(t, "move-", moveInput)
+}
+
+func faultMatrix(t *testing.T, prefix string, in matrixInput) {
 	const n = 6
 
 	// Counting pass: no rules, discover the injection sites.
 	var counter *fault.File
 	cleanDir := t.TempDir()
-	out := matrixWorkload(t, filepath.Join(cleanDir, "wal"), n, func(f File) File {
+	out := matrixWorkload(t, in, filepath.Join(cleanDir, "wal"), n, func(f File) File {
 		counter = fault.NewFile(f)
 		return counter
 	})
 	if out.firstErr != nil || out.acked != n {
 		t.Fatalf("counting pass failed: acked %d, err %v", out.acked, out.firstErr)
 	}
-	if got := recoveredPrefix(t, filepath.Join(cleanDir, "wal")); got != n {
+	if got := recoveredPrefix(t, in, filepath.Join(cleanDir, "wal")); got != n {
 		t.Fatalf("clean run recovered %d records, want %d", got, n)
 	}
 	writes, syncs := counter.Counts()
@@ -109,9 +157,9 @@ func TestFaultMatrixAckedPrefixDurable(t *testing.T) {
 	}
 
 	run := func(name string, rule fault.Rule, wantErr error) {
-		t.Run(name, func(t *testing.T) {
+		t.Run(prefix+name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "wal")
-			out := matrixWorkload(t, path, n, func(f File) File {
+			out := matrixWorkload(t, in, path, n, func(f File) File {
 				return fault.NewFile(f, rule)
 			})
 			if out.firstErr == nil {
@@ -129,7 +177,7 @@ func TestFaultMatrixAckedPrefixDurable(t *testing.T) {
 					t.Fatalf("commit after failure did not return ErrWALPoisoned")
 				}
 			}
-			if got := recoveredPrefix(t, path); got < out.acked {
+			if got := recoveredPrefix(t, in, path); got < out.acked {
 				t.Fatalf("recovered %d records < acked prefix %d: durability lie", got, out.acked)
 			}
 		})
@@ -163,7 +211,7 @@ func TestFaultMatrixRelaxedLatch(t *testing.T) {
 	defer w.Close()
 	c := NewCommitter(w, CommitterConfig{AckOnEnqueue: true})
 	for i := 0; i < 4; i++ {
-		if err := <-c.Commit(rec(t, "m", i)); err != nil {
+		if err := <-c.Commit(jsonInput.rec(t, i)); err != nil {
 			t.Fatalf("relaxed barrier %d: %v", i, err)
 		}
 	}
@@ -177,7 +225,7 @@ func TestFaultMatrixRelaxedLatch(t *testing.T) {
 		t.Fatalf("Close = %v, want the injected EIO", err)
 	}
 	// The acked-but-lost suffix is gone, but what survived is a prefix.
-	if got := recoveredPrefix(t, path); got > 4 {
+	if got := recoveredPrefix(t, jsonInput, path); got > 4 {
 		t.Fatalf("recovered %d phantom records", got)
 	}
 }

@@ -18,7 +18,6 @@ package storage
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 )
 
@@ -118,18 +117,10 @@ func (r *LogReader) read(dst []byte, limit uint64, capLen int) ([]byte, error) {
 			return dst, err
 		}
 	}
-	for r.skip == 0 && r.t.Seq() < limit && len(dst) < capLen {
-		next, err := r.t.AppendNext(dst)
-		if errors.Is(err, ErrNoRecord) {
-			// Below the frontier every frame is whole on an untouched file;
-			// a short one is settled by the base re-check, or by the next
-			// round.
-			break
-		}
-		if err != nil {
-			return dst, err
-		}
-		dst = next
+	if r.skip == 0 && r.t.Seq() < limit {
+		// Below the frontier every frame is whole on an untouched file; a
+		// short read is settled by the base re-check, or by the next round.
+		return r.t.appendFrames(dst, limit-r.t.Seq(), capLen)
 	}
 	return dst, nil
 }

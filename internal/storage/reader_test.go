@@ -192,3 +192,42 @@ func TestLogReaderRegrownBetweenWindowReads(t *testing.T) {
 		t.Fatalf("new epoch from base = %q", got)
 	}
 }
+
+// BenchmarkLogReaderRead measures a follower's read of a served log: one
+// LogReader pass, batch by batch, over a log of frames the size of a
+// binary movement record. ns/frame is the per-frame cost of reading,
+// splitting and checksumming.
+func BenchmarkLogReaderRead(b *testing.B) {
+	const frames = 1 << 14
+	rl, err := OpenRelay(filepath.Join(b.TempDir(), "relay.log"), 0, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rl.Close()
+	body := make([]byte, 25)
+	for i := 0; i < frames; i++ {
+		if err := rl.Append(body); err != nil {
+			b.Fatal(err)
+		}
+	}
+	window := func() (uint64, uint64, error) {
+		base, total := rl.Info()
+		return base, total, nil
+	}
+	var batch []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd, err := OpenLogReader(rl.Path(), 0, window)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for rd.Seq() < frames {
+			if batch, err = rd.Read(batch[:0], math.MaxUint64); err != nil || len(batch) == 0 {
+				b.Fatalf("read at seq %d: %d bytes, %v", rd.Seq(), len(batch), err)
+			}
+		}
+		rd.Close()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frames), "ns/frame")
+}

@@ -46,6 +46,8 @@ type RelayLog struct {
 	// fail replication itself).
 	maxBytes int64
 	err      error
+	// buf is the reused frame buffer of Append.
+	buf []byte
 }
 
 // OpenRelay creates (or truncates) the relay file at path, positioned
@@ -94,7 +96,8 @@ func (r *RelayLog) Append(body []byte) error {
 	if r.err != nil {
 		return r.err
 	}
-	fr := Frame(body)
+	r.buf = appendWireFrame(r.buf[:0], body)
+	fr := r.buf
 	if r.size+int64(len(fr)) > r.maxBytes && r.count > 0 {
 		if err := r.resetLocked(r.base + r.count); err != nil {
 			return err

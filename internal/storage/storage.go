@@ -4,10 +4,11 @@
 // one: an append-only write-ahead log with periodic snapshots and
 // crash recovery.
 //
-// Records are length-prefixed JSON frames with a CRC32 checksum, so a torn
+// Records are length-prefixed frames with a CRC32 checksum, so a torn
 // tail write (the classic crash case) is detected and truncated rather
-// than corrupting recovery. Snapshots compact the log: recovery loads the
-// latest valid snapshot and replays only the log suffix.
+// than corrupting recovery; record.go defines the frame body. Snapshots
+// compact the log: recovery loads the latest valid snapshot and replays
+// only the log suffix.
 package storage
 
 import (
@@ -20,6 +21,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -33,7 +35,8 @@ import (
 type Record struct {
 	// Type names the mutation, e.g. "authz.add" or "move.enter".
 	Type string `json:"type"`
-	// Data is the JSON payload.
+	// Data is the payload: JSON, or a movement record's binary body (see
+	// AppendRecord).
 	Data json.RawMessage `json:"data"`
 	// Obs is in-process pipeline-trace state riding the record by value
 	// (zero allocations, never serialized — a record read back from the
@@ -86,6 +89,8 @@ type WAL struct {
 	// pending counts frames written but not yet fsynced: zero after every
 	// successful Append, non-zero only when a flush or fsync failed.
 	pending int
+	// buf is the reused encode buffer of Append.
+	buf []byte
 }
 
 // OpenWAL opens (creating if needed) the log at path.
@@ -137,6 +142,7 @@ func scanLog(f File) (end int64, n uint64, err error) {
 	r := bufio.NewReader(f)
 	var off int64
 	var hdr [frameHeader]byte
+	var body []byte
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return off, n, nil // clean EOF or torn header: stop here
@@ -146,7 +152,7 @@ func scanLog(f File) (end int64, n uint64, err error) {
 		if length == 0 || length > MaxFrameSize {
 			return off, n, nil // garbage length: treat as torn tail
 		}
-		body := make([]byte, length)
+		body = slices.Grow(body[:0], int(length))[:length]
 		if _, err := io.ReadFull(r, body); err != nil {
 			return off, n, nil // torn body
 		}
@@ -161,33 +167,21 @@ func scanLog(f File) (end int64, n uint64, err error) {
 	}
 }
 
-// encodeFrame marshals one record into a frame body, enforcing the size
-// limit.
-func encodeFrame(rec Record) ([]byte, error) {
-	body, err := json.Marshal(rec)
+// appendFrame appends rec in its wire form — header, then the body
+// AppendRecord encodes — enforcing the size limit.
+func appendFrame(dst []byte, rec Record) ([]byte, error) {
+	base := len(dst)
+	dst, err := AppendRecord(append(dst, make([]byte, frameHeader)...), rec)
 	if err != nil {
-		return nil, fmt.Errorf("storage: encode record: %w", err)
+		return dst[:base], err
 	}
+	body := dst[base+frameHeader:]
 	if len(body) > MaxFrameSize {
-		return nil, fmt.Errorf("storage: record of %d bytes exceeds frame limit", len(body))
+		return dst[:base], fmt.Errorf("storage: record of %d bytes exceeds frame limit", len(body))
 	}
-	return body, nil
-}
-
-// writeFrameLocked writes one pre-encoded frame body. Callers hold w.mu.
-func (w *WAL) writeFrameLocked(body []byte) error {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(body))
-	if _, err := w.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(body); err != nil {
-		return err
-	}
-	w.seq++
-	w.pending++
-	return nil
+	binary.LittleEndian.PutUint32(dst[base:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(dst[base+4:], crc32.ChecksumIEEE(body))
+	return dst, nil
 }
 
 // Append writes recs as one contiguous frame sequence under a single
@@ -198,23 +192,29 @@ func (w *WAL) Append(recs ...Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	bodies := make([][]byte, len(recs))
-	for i, rec := range recs {
-		body, err := encodeFrame(rec)
-		if err != nil {
-			return err
-		}
-		bodies[i] = body
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for _, body := range bodies {
-		if err := w.writeFrameLocked(body); err != nil {
+	buf := w.buf[:0]
+	for _, rec := range recs {
+		var err error
+		if buf, err = appendFrame(buf, rec); err != nil {
 			return err
 		}
 	}
+	if cap(buf) <= maxRetainedBuf {
+		w.buf = buf
+	}
+	if _, err := w.w.Write(buf); err != nil {
+		return err
+	}
+	w.seq += uint64(len(recs))
+	w.pending += len(recs)
 	return w.syncLocked()
 }
+
+// maxRetainedBuf bounds the encode buffer Append keeps between calls: a
+// batch of large admin records does not pin its buffer.
+const maxRetainedBuf = 1 << 20
 
 func (w *WAL) syncLocked() error {
 	if err := w.w.Flush(); err != nil {
@@ -293,6 +293,7 @@ func ReplayTail(path string, fn func(Record) error) (TailState, error) {
 		return st
 	}
 	var hdr [frameHeader]byte
+	var body []byte // reused: DecodeRecord copies what it keeps
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return stop(), nil
@@ -302,16 +303,16 @@ func ReplayTail(path string, fn func(Record) error) (TailState, error) {
 		if length == 0 || length > MaxFrameSize {
 			return stop(), nil
 		}
-		body := make([]byte, length)
+		body = slices.Grow(body[:0], int(length))[:length]
 		if _, err := io.ReadFull(r, body); err != nil {
 			return stop(), nil
 		}
 		if crc32.ChecksumIEEE(body) != sum {
 			return stop(), nil
 		}
-		var rec Record
-		if err := json.Unmarshal(body, &rec); err != nil {
-			return stop(), fmt.Errorf("%w: %v", ErrCorrupt, err)
+		rec, err := DecodeRecord(body)
+		if err != nil {
+			return stop(), err
 		}
 		if err := fn(rec); err != nil {
 			return stop(), err

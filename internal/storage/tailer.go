@@ -15,10 +15,10 @@ package storage
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"slices"
 )
@@ -60,11 +60,14 @@ type TailState struct {
 // length, 4-byte CRC32 (IEEE), body. It is the exact on-disk layout, so
 // a replication stream is byte-compatible with the log it was read from.
 func Frame(body []byte) []byte {
-	out := make([]byte, frameHeader+len(body))
-	binary.LittleEndian.PutUint32(out[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(body))
-	copy(out[frameHeader:], body)
-	return out
+	return appendWireFrame(make([]byte, 0, frameHeader+len(body)), body)
+}
+
+// appendWireFrame appends body in its wire form onto dst.
+func appendWireFrame(dst, body []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(body))
+	return append(dst, body...)
 }
 
 // Tailer reads frames from a WAL file that may still be growing. It is
@@ -81,7 +84,8 @@ type Tailer struct {
 	// partialBytes is the torn-tail size observed by the last failed
 	// read, for State.
 	partialBytes int64
-	// scratch is the frame buffer Skip reads into and discards.
+	// scratch is the frame buffer Next decodes from and Skip reads into
+	// and discards.
 	scratch []byte
 }
 
@@ -135,6 +139,27 @@ func (t *Tailer) NextBody() ([]byte, error) {
 // file shrank below the current position; dst is returned unextended on
 // any error.
 func (t *Tailer) AppendNext(dst []byte) ([]byte, error) {
+	seq := t.seq
+	out, err := t.appendFrames(dst, 1, len(dst)+1)
+	if err == nil && t.seq == seq {
+		err = ErrNoRecord
+	}
+	if err != nil {
+		return dst, err
+	}
+	return out, nil
+}
+
+// appendFrames appends up to n whole, checksum-valid frames onto dst,
+// stopping once dst holds capLen bytes or more, and advances past them.
+// It stats the file once and reads it in windows — one ReadAt fills dst
+// up to capLen, and one more finishes a frame the window cut — then
+// splits and checks the frames in memory. It stops short, with a nil
+// error, at the log's end or at a torn or not-yet-valid frame, whose
+// pending bytes State then reports. ErrWALReset means the file shrank
+// below the position; on any error the frames already appended stay in
+// the returned slice and the position stays past them.
+func (t *Tailer) appendFrames(dst []byte, n uint64, capLen int) ([]byte, error) {
 	st, err := t.f.Stat()
 	if err != nil {
 		return dst, err
@@ -143,61 +168,78 @@ func (t *Tailer) AppendNext(dst []byte) ([]byte, error) {
 	if size < t.off {
 		return dst, ErrWALReset
 	}
-	avail := size - t.off
-	if avail < frameHeader {
-		return dst, t.noRecord(avail)
+	for end := t.seq + n; t.seq < end && len(dst) < capLen; {
+		avail := size - t.off
+		if avail < frameHeader {
+			t.partialBytes = avail
+			return dst, nil
+		}
+		// Read to capLen, or at least a header, but not past the stat'd
+		// end: bytes beyond it belong to the next call.
+		base := len(dst)
+		if dst, err = t.readAt(dst, min(avail, int64(max(capLen-base, frameHeader))), t.off); err != nil {
+			return dst[:base], err
+		}
+		p, whole := base, true
+		for t.seq < end && p < capLen && p+frameHeader <= len(dst) {
+			length := binary.LittleEndian.Uint32(dst[p : p+4])
+			sum := binary.LittleEndian.Uint32(dst[p+4 : p+8])
+			frameLen := frameHeader + int64(length)
+			// On a live log a garbage length can only be an in-flight
+			// write reaching disk out of order; treat it as a torn tail
+			// and let the writer finish. (True mid-log corruption parks
+			// the tailer here — the same stop-at-last-valid-checksum
+			// stance recovery takes.)
+			if length == 0 || length > MaxFrameSize || frameLen > size-t.off {
+				whole = false
+				break
+			}
+			if short := p + int(frameLen) - len(dst); short > 0 {
+				// Whole on disk, cut by the window: read its remainder.
+				if dst, err = t.readAt(dst, int64(short), t.off+int64(len(dst)-p)); err != nil {
+					return dst[:p], err
+				}
+			}
+			if len(dst) < p+int(frameLen) || crc32.ChecksumIEEE(dst[p+frameHeader:p+int(frameLen)]) != sum {
+				whole = false
+				break
+			}
+			p += int(frameLen)
+			t.off += frameLen
+			t.seq++
+		}
+		dst = dst[:p]
+		if !whole || p == base {
+			t.partialBytes = size - t.off
+			return dst, nil
+		}
 	}
-	var hdr [frameHeader]byte
-	if _, err := t.f.ReadAt(hdr[:], t.off); err != nil {
-		return dst, err
-	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	sum := binary.LittleEndian.Uint32(hdr[4:8])
-	if length == 0 || length > MaxFrameSize {
-		// On a live log a garbage length can only be an in-flight write
-		// reaching disk out of order; treat it as a torn tail and let the
-		// writer finish. (True mid-log corruption parks the tailer here —
-		// the same stop-at-last-valid-checksum stance recovery takes.)
-		return dst, t.noRecord(avail)
-	}
-	if avail < frameHeader+int64(length) {
-		return dst, t.noRecord(avail)
-	}
-	base := len(dst)
-	dst = slices.Grow(dst, frameHeader+int(length))[:base+frameHeader+int(length)]
-	copy(dst[base:], hdr[:])
-	body := dst[base+frameHeader:]
-	if _, err := t.f.ReadAt(body, t.off+frameHeader); err != nil {
-		return dst[:base], err
-	}
-	if crc32.ChecksumIEEE(body) != sum {
-		return dst[:base], t.noRecord(avail)
-	}
-	t.off += frameHeader + int64(length)
-	t.seq++
 	t.partialBytes = 0
 	return dst, nil
 }
 
-// noRecord records the torn-tail size for State and returns ErrNoRecord.
-func (t *Tailer) noRecord(avail int64) error {
-	t.partialBytes = avail
-	return ErrNoRecord
+// readAt appends up to n bytes of the file at off onto dst. A short read
+// at the end of the file is not an error: a file that shrank is caught
+// by the caller's checks.
+func (t *Tailer) readAt(dst []byte, n, off int64) ([]byte, error) {
+	base := len(dst)
+	dst = slices.Grow(dst, int(n))[:base+int(n)]
+	got, err := t.f.ReadAt(dst[base:], off)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return dst[:base], err
+	}
+	return dst[:base+got], nil
 }
 
 // Next decodes the next frame into a Record. Framing-level waits surface
 // as ErrNoRecord/ErrWALReset; a frame that passes its checksum but does
 // not decode is real corruption (ErrCorrupt).
 func (t *Tailer) Next() (Record, error) {
-	body, err := t.NextBody()
-	if err != nil {
+	var err error
+	if t.scratch, err = t.AppendNext(t.scratch[:0]); err != nil {
 		return Record{}, err
 	}
-	var rec Record
-	if err := json.Unmarshal(body, &rec); err != nil {
-		return Record{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return rec, nil
+	return DecodeRecord(t.scratch[frameHeader:])
 }
 
 // Skip consumes up to n frames without keeping them, returning how many
@@ -205,15 +247,14 @@ func (t *Tailer) Next() (Record, error) {
 // tail; callers resume by polling. It is how a reader seeks to its
 // resume sequence.
 func (t *Tailer) Skip(n uint64) (uint64, error) {
-	var skipped uint64
-	for ; skipped < n; skipped++ {
+	start := t.seq
+	for t.seq-start < n {
+		seq := t.seq
 		var err error
-		if t.scratch, err = t.AppendNext(t.scratch[:0]); err != nil {
-			if errors.Is(err, ErrNoRecord) {
-				err = nil
-			}
-			return skipped, err
+		t.scratch, err = t.appendFrames(t.scratch[:0], n-(t.seq-start), batchBytes)
+		if err != nil || t.seq == seq {
+			return t.seq - start, err
 		}
 	}
-	return skipped, nil
+	return n, nil
 }

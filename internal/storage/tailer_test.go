@@ -21,6 +21,24 @@ func mkRecords(n int) []Record {
 	return recs
 }
 
+// mkMoves builds n distinct movement records in the binary body.
+func mkMoves(t *testing.T, n int) []Record {
+	t.Helper()
+	recs := make([]Record, n)
+	for i := range recs {
+		typ := TypeMoveEnter
+		if i%2 == 1 {
+			typ = TypeMoveLeave
+		}
+		rec, err := MoveRecord(typ, Move{T: int64(i), S: fmt.Sprintf("s%d", i), L: "room"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs[i] = rec
+	}
+	return recs
+}
+
 // walBytes appends recs to a fresh WAL and returns the file's raw bytes
 // plus each frame's end offset.
 func walBytes(t *testing.T, recs []Record) ([]byte, []int64) {
@@ -103,7 +121,12 @@ func TestTailerFollowsLiveLog(t *testing.T) {
 // record exactly once. This is the frame-level crash-resume guarantee
 // the replica apply loop builds on.
 func TestTailerTornTailEveryByte(t *testing.T) {
-	recs := mkRecords(8)
+	for name, recs := range map[string][]Record{"json": mkRecords(8), "move": mkMoves(t, 8)} {
+		t.Run(name, func(t *testing.T) { tornTailEveryByte(t, recs) })
+	}
+}
+
+func tornTailEveryByte(t *testing.T, recs []Record) {
 	data, ends := walBytes(t, recs)
 
 	frameAt := func(off int64) int {
@@ -139,8 +162,8 @@ func TestTailerTornTailEveryByte(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cut %d: record %d: %v", cut, i, err)
 			}
-			if got.Type != recs[i].Type {
-				t.Fatalf("cut %d: record %d type %q, want %q", cut, i, got.Type, recs[i].Type)
+			if got.Type != recs[i].Type || string(got.Data) != string(recs[i].Data) {
+				t.Fatalf("cut %d: record %d = %s, want %s", cut, i, got.Data, recs[i].Data)
 			}
 		}
 		if _, err := tl.Next(); !errors.Is(err, ErrNoRecord) {
@@ -155,6 +178,17 @@ func TestTailerTornTailEveryByte(t *testing.T) {
 			t.Fatalf("cut %d: state %+v, want partial=%v bytes=%d",
 				cut, st, wantPartial, cut-frameStart(wantComplete))
 		}
+		// A bulk read of the same cut stops at the same frame boundary.
+		bulk, err := OpenTailer(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames, err := bulk.appendFrames(nil, uint64(len(recs)), batchBytes)
+		if err != nil || int64(len(frames)) != frameStart(wantComplete) || bulk.State() != st {
+			t.Fatalf("cut %d: bulk read %d bytes, state %+v, %v; want %d bytes, state %+v",
+				cut, len(frames), bulk.State(), err, frameStart(wantComplete), st)
+		}
+		bulk.Close()
 
 		// The writer finishes: the same tailer re-reads the once-torn
 		// offset and sees the rest exactly once.
@@ -171,8 +205,8 @@ func TestTailerTornTailEveryByte(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cut %d: resumed record %d: %v", cut, i, err)
 			}
-			if got.Type != recs[i].Type {
-				t.Fatalf("cut %d: resumed record %d type %q, want %q", cut, i, got.Type, recs[i].Type)
+			if got.Type != recs[i].Type || string(got.Data) != string(recs[i].Data) {
+				t.Fatalf("cut %d: resumed record %d = %s, want %s", cut, i, got.Data, recs[i].Data)
 			}
 		}
 		if _, err := tl.Next(); !errors.Is(err, ErrNoRecord) {
@@ -297,7 +331,7 @@ func TestFrameRoundTrips(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.log")
 	rec := Record{Type: "x", Data: json.RawMessage(`{"a":1}`)}
-	body, err := encodeFrame(rec)
+	body, err := AppendRecord(nil, rec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,6 @@
 package stream
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -364,8 +363,8 @@ func (b *Bus) publishFrame(gen, seq uint64, body []byte) {
 
 // decodeFrame decodes one record frame body into its feed event.
 func decodeFrame(seq uint64, body []byte) (Event, error) {
-	var rec storage.Record
-	if err := json.Unmarshal(body, &rec); err != nil {
+	rec, err := storage.DecodeRecord(body)
+	if err != nil {
 		return Event{}, err
 	}
 	return DecodeEvent(seq, rec)
@@ -396,7 +395,11 @@ func (b *Bus) publishSkipped(gen, seq uint64) bool {
 			sub.next = seq + 1
 		}
 	}
-	b.decodeSkips.Add(1)
+	if len(b.subs) > 0 {
+		// Only a live alert-only watcher makes this a skip; with nobody
+		// live there is no decode to save.
+		b.decodeSkips.Add(1)
+	}
 	return true
 }
 

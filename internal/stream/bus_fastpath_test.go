@@ -103,3 +103,43 @@ func TestBusAlertOnlyDecodeFastPath(t *testing.T) {
 		t.Fatalf("decode skipped (%d -> %d) while a record-hungry subscriber was live", skipsBefore, got)
 	}
 }
+
+// TestBusDecodeSkipsNeedLiveAlertWatcher: a record the pump passes
+// while its only subscriber is still catching up is not a decode skip —
+// no alert-only watcher is live, and the catch-up decodes the record
+// from the log anyway.
+func TestBusDecodeSkipsNeedLiveAlertWatcher(t *testing.T) {
+	sys, rooms, _ := gridSystem(t, 2, t.TempDir(), "alice")
+	b := newTestBus(t, sys)
+	// A one-slot queue that nobody reads parks the catch-up on its
+	// second send, before it can go live.
+	sub, err := b.Subscribe(SubscribeOptions{From: 0, Buffer: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	total := sys.ReplicationInfo().TotalSeq
+	if _, err := sys.Enter(2, "alice", rooms[0]); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		b.mu.Lock()
+		passed := b.nextSeq > total
+		b.mu.Unlock()
+		if passed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the pump never passed the new record")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := b.Stats(); st.Subscribers != 0 || st.DecodeSkips != 0 {
+		t.Fatalf("stats = %+v: want the subscriber still catching up and no decode skips", st)
+	}
+	records, _ := collect(t, sub, int(total)+1)
+	if last := records[len(records)-1]; last.Seq != total || last.Kind != KindEnter {
+		t.Fatalf("last event = %+v, want the enter at seq %d", last, total)
+	}
+}

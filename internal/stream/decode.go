@@ -18,13 +18,9 @@ import (
 	"repro/internal/storage"
 )
 
-// wire shapes of the core record payloads we summarize.
+// wire shapes of the core record payloads we summarize (movement
+// payloads are storage.Move).
 type (
-	movePayload struct {
-		T interval.Time
-		S profile.SubjectID
-		L graph.ID
-	}
 	idPayload   struct{ ID authz.ID }
 	namePayload struct{ Name string }
 	subjPayload struct{ ID profile.SubjectID }
@@ -39,11 +35,11 @@ func DecodeEvent(seq uint64, rec storage.Record) (Event, error) {
 	ev := Event{Seq: seq, Record: &storage.Record{Type: rec.Type, Data: rec.Data}}
 	var err error
 	switch rec.Type {
-	case "move.enter", "move.leave":
-		var p movePayload
-		if err = json.Unmarshal(rec.Data, &p); err == nil {
-			ev.Kind, ev.Time, ev.Subject, ev.Location = KindEnter, p.T, p.S, p.L
-			if rec.Type == "move.leave" {
+	case storage.TypeMoveEnter, storage.TypeMoveLeave:
+		var m storage.Move
+		if m, err = storage.DecodeMove(rec.Data); err == nil {
+			ev.Kind, ev.Time, ev.Subject, ev.Location = KindEnter, interval.Time(m.T), profile.SubjectID(m.S), graph.ID(m.L)
+			if rec.Type == storage.TypeMoveLeave {
 				ev.Kind = KindLeave
 			}
 		}

@@ -249,9 +249,9 @@ func (s *ReplicationSource) Tail(ctx context.Context, from uint64, apply func(st
 			}
 			return fmt.Errorf("wire: replication stream: %w", err)
 		}
-		var rec storage.Record
-		if err := json.Unmarshal(body, &rec); err != nil {
-			return fmt.Errorf("wire: replication stream: decode record: %w", err)
+		rec, err := storage.DecodeRecord(body)
+		if err != nil {
+			return fmt.Errorf("wire: replication stream: %w", err)
 		}
 		if err := apply(rec); err != nil {
 			return err
