@@ -30,7 +30,6 @@ var (
 // reads is the read surface Store and View share.
 type reads interface {
 	For(profile.SubjectID, graph.ID) []Authorization
-	AppendFor([]Authorization, profile.SubjectID, graph.ID) []Authorization
 	BySubject(profile.SubjectID) []Authorization
 	ByLocation(graph.ID) []Authorization
 	Get(ID) (Authorization, error)
@@ -56,17 +55,9 @@ func answers(r reads, ids []ID) []answer {
 		}
 		out = append(out, answer{query, got})
 	}
-	sentinel := Authorization{ID: 1 << 40}
 	for _, s := range modelSubjects {
 		for _, l := range modelLocations {
-			pair := string(s) + "," + string(l) + ")"
-			add("For("+pair, r.For(s, l))
-			dst := append(make([]Authorization, 0, 16), sentinel)
-			got := r.AppendFor(dst, s, l)
-			if got[0] != sentinel {
-				out = append(out, answer{"AppendFor(" + pair + " prefix", got[0]})
-			}
-			add("AppendFor("+pair, got[1:])
+			add("For("+string(s)+","+string(l)+")", r.For(s, l))
 		}
 		add("BySubject("+string(s)+")", r.BySubject(s))
 	}
@@ -125,10 +116,6 @@ func (v modelView) filter(keep func(Authorization) bool) []Authorization {
 
 func (v modelView) For(s profile.SubjectID, l graph.ID) []Authorization {
 	return v.filter(func(a Authorization) bool { return a.Subject == s && a.Location == l })
-}
-
-func (v modelView) AppendFor(dst []Authorization, s profile.SubjectID, l graph.ID) []Authorization {
-	return append(dst, v.For(s, l)...)
 }
 
 func (v modelView) BySubject(s profile.SubjectID) []Authorization {

@@ -7,6 +7,7 @@ import (
 	"hash/maphash"
 	"maps"
 	"math/bits"
+	"reflect"
 	"slices"
 	"sort"
 	"sync"
@@ -310,10 +311,10 @@ type Store struct {
 
 	// version is the store's mutation epoch: the per-shard counters
 	// aggregated at write time (every mutating operation bumps its
-	// shard's counter and this total once). Query caches key memoized
-	// results on it, so it must move for every path that changes the
-	// stored set — including rule-engine derivations and conflict
-	// resolution, which go through Add/Revoke.
+	// shard's counter and this total once). Published read views are
+	// re-captured when it moves, so it must move for every path that
+	// changes the stored set — including rule-engine derivations and
+	// conflict resolution, which go through Add/Revoke.
 	version atomic.Uint64
 }
 
@@ -491,13 +492,6 @@ func (st *Store) RevokeIf(pred func(Authorization) bool) int {
 func (st *Store) For(s profile.SubjectID, l graph.ID) []Authorization {
 	sh, h := st.shardFor(s)
 	return sh.data.Load().pair(h, s, l)
-}
-
-// AppendFor appends the authorizations for (s, l) to dst, in ID order —
-// the batched form of For for callers that gather many lookups into one
-// owned backing slice (Algorithm 1's per-location gather).
-func (st *Store) AppendFor(dst []Authorization, s profile.SubjectID, l graph.ID) []Authorization {
-	return append(dst, st.For(s, l)...)
 }
 
 // BySubject returns all authorizations for subject s, sorted by ID.
@@ -693,10 +687,28 @@ func (v *View) For(s profile.SubjectID, l graph.ID) []Authorization {
 	return d.pair(h, s, l)
 }
 
-// AppendFor appends the authorizations for (s, l) to dst in ID order —
-// see Store.AppendFor.
-func (v *View) AppendFor(dst []Authorization, s profile.SubjectID, l graph.ID) []Authorization {
-	return append(dst, v.For(s, l)...)
+// Stamp is an opaque version of one subject's authorizations, read from
+// a View by SubjectStamp. It holds the subject's byPair bucket itself. A
+// published bucket is never written (a grant or revoke replaces it), so
+// two stamps holding the same bucket prove that every For(s, ·) answer
+// is unchanged between their views. Holding the bucket keeps it alive,
+// so a later bucket cannot reuse its address, Restore included. Subjects
+// that hash to one bucket share its stamp, which is conservative: a
+// write for one moves the stamp of all.
+type Stamp struct {
+	bucket map[subjectLocation][]Authorization
+}
+
+// Same reports whether a and b name the same bucket.
+func (a Stamp) Same(b Stamp) bool {
+	return reflect.ValueOf(a.bucket).UnsafePointer() == reflect.ValueOf(b.bucket).UnsafePointer()
+}
+
+// SubjectStamp returns the stamp of s's authorizations as of the
+// capture: one hash and one bucket load, no allocation.
+func (v *View) SubjectStamp(s profile.SubjectID) Stamp {
+	d, h := v.shardFor(s)
+	return Stamp{d.byPair.bucket(bucketOf(h))}
 }
 
 // BySubject returns all authorizations for subject s, in ID order.

@@ -2,9 +2,11 @@ package authz
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/interval"
+	"repro/internal/profile"
 )
 
 func addOK(t *testing.T, st *Store, a Authorization) Authorization {
@@ -146,6 +148,55 @@ func TestStoreSnapshotRestore(t *testing.T) {
 	if err := fresh.Restore([]Authorization{inv}, 1); err == nil {
 		t.Error("invalid auth in restore should fail")
 	}
+}
+
+// TestSubjectStamp: a subject's stamp moves with every write to its
+// authorizations, Restore included, and not with a write to a subject in
+// another bucket; a captured View keeps the stamps it captured.
+func TestSubjectStamp(t *testing.T) {
+	st := NewStore()
+	sameBucket := func(x, y profile.SubjectID) bool {
+		sx, hx := st.shardFor(x)
+		sy, hy := st.shardFor(y)
+		return sx == sy && bucketOf(hx) == bucketOf(hy)
+	}
+	other := profile.SubjectID("b0")
+	for i := 1; sameBucket("a", other); i++ {
+		other = profile.SubjectID(fmt.Sprintf("b%d", i))
+	}
+	grant := func(s profile.SubjectID) Authorization {
+		return addOK(t, st, New(iv("[1, 20]"), iv("[1, 40]"), s, "CAIS", Unlimited))
+	}
+	moved := func(step string, s profile.SubjectID, before, after *View, want bool) {
+		t.Helper()
+		if got := !before.SubjectStamp(s).Same(after.SubjectStamp(s)); got != want {
+			t.Errorf("%s: %s's stamp moved = %v, want %v", step, s, got, want)
+		}
+	}
+
+	grant("a")
+	grant(other)
+	v0 := st.View()
+	ga := grant("a")
+	v1 := st.View()
+	moved("grant to a", "a", v0, v1, true)
+	moved("grant to a", other, v0, v1, false)
+	if err := st.Revoke(ga.ID); err != nil {
+		t.Fatal(err)
+	}
+	v2 := st.View()
+	moved("revoke of a's grant", "a", v1, v2, true)
+	moved("revoke of a's grant", other, v1, v2, false)
+	moved("captured view", "a", v0, v0, false)
+
+	// Restoring the very same contents rebuilds every bucket.
+	auths, next := st.Snapshot()
+	if err := st.Restore(auths, next); err != nil {
+		t.Fatal(err)
+	}
+	v3 := st.View()
+	moved("restore", "a", v2, v3, true)
+	moved("restore", other, v2, v3, true)
 }
 
 func TestFindConflicts(t *testing.T) {

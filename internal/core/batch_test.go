@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/authz"
 	"repro/internal/geometry"
@@ -447,51 +446,4 @@ func TestObserveBatchConcurrentQueries(t *testing.T) {
 	if st := sys.CommitStats(); st.Records == 0 {
 		t.Errorf("expected group-committed records: %+v", st)
 	}
-}
-
-// TestCacheWarming: after an epoch-changing mutation, the warmer
-// re-derives recently-queried subjects so the next query is a hit.
-func TestCacheWarming(t *testing.T) {
-	g, rooms, _, _ := gridSite(t, 3)
-
-	t.Run("warm-now", func(t *testing.T) {
-		sys, err := Open(Config{Graph: g, DisableCacheWarm: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sys.Close()
-		fullGrant(t, sys, "hot", rooms[:4])
-		_ = sys.Inaccessible("hot") // make "hot" recent; miss #1
-		fullGrant(t, sys, "other", rooms[:1])
-		base := sys.QueryCacheStats()
-		sys.WarmNow() // re-derives "hot" and "other" at the new epoch
-		warmed := sys.QueryCacheStats()
-		if warmed.Misses <= base.Misses {
-			t.Fatalf("WarmNow did not recompute: %+v -> %+v", base, warmed)
-		}
-		_ = sys.Inaccessible("hot")
-		after := sys.QueryCacheStats()
-		if after.Misses != warmed.Misses || after.Hits != warmed.Hits+1 {
-			t.Errorf("post-warm query should hit: %+v -> %+v", warmed, after)
-		}
-	})
-
-	t.Run("background", func(t *testing.T) {
-		sys, err := Open(Config{Graph: g}) // warming on by default
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sys.Close()
-		fullGrant(t, sys, "hot", rooms[:4])
-		_ = sys.Inaccessible("hot")
-		pre := sys.QueryCacheStats()
-		fullGrant(t, sys, "other", rooms[:1]) // epoch moves; warmer pokes
-		deadline := time.Now().Add(5 * time.Second)
-		for sys.QueryCacheStats().Misses <= pre.Misses {
-			if time.Now().After(deadline) {
-				t.Fatalf("background warmer never recomputed: %+v", sys.QueryCacheStats())
-			}
-			time.Sleep(time.Millisecond)
-		}
-	})
 }

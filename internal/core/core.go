@@ -64,22 +64,11 @@ type Config struct {
 	// later (already-acknowledged) batches so the surviving WAL stays a
 	// prefix.
 	RelaxedDurability bool
-	// DisableCacheWarm turns off the background warmer that re-derives
-	// Algorithm-1 results for recently-queried subjects after an
-	// epoch-changing mutation, so the first post-mutation query pays the
-	// fixpoint inline instead. Warming is on by default.
-	DisableCacheWarm bool
-	// WarmSubjects caps how many recently-queried subjects the warmer
-	// re-derives per mutation (0 = DefaultWarmSubjects).
-	WarmSubjects int
 	// WALWrap, when non-nil, wraps the WAL's backing file before any I/O
 	// — the fault-injection seam (see internal/fault). Production leaves
 	// it nil.
 	WALWrap func(storage.File) storage.File
 }
-
-// DefaultWarmSubjects is the default size of the post-mutation warm set.
-const DefaultWarmSubjects = 8
 
 // System is the central control station.
 //
@@ -94,13 +83,12 @@ const DefaultWarmSubjects = 8
 // they are queued for the shared fsync).
 //
 // Pure queries acquire no lock at all: each loads the current readView —
-// an immutable capture of the sharded authorization store plus the
-// epoch-pinned Algorithm-1 memo table — and runs entirely against that
-// snapshot (see view.go). Per-subject Algorithm-1 results are memoized
-// per view; the epoch is derived from the authorization store's and
-// profile database's mutation versions, so any change — including rule
-// re-derivations triggered by profile watchers — retires exactly the
-// stale generation with its view.
+// an immutable capture of the sharded authorization store — and runs
+// entirely against that snapshot (see view.go). Per-subject Algorithm-1
+// results are memoized per (subject, window) and stay valid while the
+// subject's authorizations are unchanged in the loaded view (DESIGN D2),
+// so a write for one subject leaves every other subject's answer
+// memoized.
 type System struct {
 	mu sync.RWMutex
 
@@ -170,22 +158,15 @@ type System struct {
 	// identically from profile.put/rule.add records).
 	autoDerive bool
 
-	// Cache warming: mutations that move the epoch poke warmCh; a
-	// background goroutine re-derives Algorithm-1 for the hottest
-	// subjects so the first post-mutation query hits the cache.
-	warmK    int
-	warmCh   chan struct{}
-	warmStop chan struct{}
-	warmWG   sync.WaitGroup
-
 	closeOnce sync.Once
 	closeErr  error
 }
 
-// epoch is the cache generation: the sum of the two version counters.
+// epoch is the view generation: the sum of the two version counters.
 // Each mutation bumps at least one of them, and both only grow, so the
-// sum strictly increases across any state change that can alter an
-// Algorithm-1 result.
+// sum strictly increases across any state change a query can observe;
+// publishLocked and currentView compare it to decide when a view is
+// stale.
 func (s *System) epoch() uint64 {
 	return s.store.Version() + s.profiles.Version()
 }
@@ -320,8 +301,6 @@ func Open(cfg Config) (*System, error) {
 	s.mu.Lock()
 	s.publishLocked()
 	s.mu.Unlock()
-
-	s.startWarm(cfg.DisableCacheWarm, cfg.WarmSubjects)
 	return s, nil
 }
 
@@ -389,29 +368,10 @@ func (s *System) restoreSnapshot(snap snapshotState) error {
 	return s.engine.SetClock(snap.Clock)
 }
 
-// startWarm boots the background cache warmer unless disabled.
-func (s *System) startWarm(disabled bool, k int) {
-	if disabled {
-		return
-	}
-	s.warmK = k
-	if s.warmK <= 0 {
-		s.warmK = DefaultWarmSubjects
-	}
-	s.warmCh = make(chan struct{}, 1)
-	s.warmStop = make(chan struct{})
-	s.warmWG.Add(1)
-	go s.warmLoop()
-}
-
-// Close stops the cache warmer, drains the group committer, and closes
-// the WAL. It is idempotent.
+// Close drains the group committer and closes the WAL. It is
+// idempotent.
 func (s *System) Close() error {
 	s.closeOnce.Do(func() {
-		if s.warmStop != nil {
-			close(s.warmStop)
-			s.warmWG.Wait()
-		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		if s.committer != nil {
@@ -657,58 +617,6 @@ func (s *System) logGroupLocked(recs []storage.Record) func() error {
 	return func() error { return s.notifyAfter(<-ch) }
 }
 
-// --- Cache warming ------------------------------------------------------
-
-// signalWarm pokes the warmer after a mutation that moved the epoch.
-// Non-blocking: a pending poke already covers this mutation.
-func (s *System) signalWarm() {
-	if s.warmCh == nil || s.replaying {
-		return
-	}
-	select {
-	case s.warmCh <- struct{}{}:
-	default:
-	}
-}
-
-// warmLoop is the background warmer: on each poke it re-derives the
-// Algorithm-1 result for the most recently queried subjects, under the
-// read lock like any other query, so the first post-mutation query for a
-// hot subject is a cache hit instead of an inline fixpoint.
-func (s *System) warmLoop() {
-	defer s.warmWG.Done()
-	for {
-		select {
-		case <-s.warmStop:
-			return
-		case <-s.warmCh:
-			s.WarmNow()
-		}
-	}
-}
-
-// WarmNow synchronously re-derives the default-window Algorithm-1 result
-// for the K most recently queried subjects (K = Config.WarmSubjects).
-// The background warmer calls it on every epoch-changing mutation; it is
-// exported for deterministic tests and for operators who want to pre-heat
-// after bulk administration.
-func (s *System) WarmNow() {
-	k := s.warmK
-	if k <= 0 {
-		k = DefaultWarmSubjects
-	}
-	for _, sub := range s.cache.RecentSubjects(k) {
-		select {
-		case <-s.warmStop:
-			return
-		default:
-		}
-		// Re-load the view per subject so a warm pass racing further
-		// mutations always heats the freshest generation.
-		_ = s.currentView().result(sub, query.Options{})
-	}
-}
-
 // --- Profile administration -------------------------------------------
 
 // PutSubject inserts or updates a user profile.
@@ -727,7 +635,6 @@ func (s *System) putSubject(sub profile.Subject) error {
 	}
 	wait := s.logLocked("profile.put", sub)
 	s.mu.Unlock()
-	s.signalWarm()
 	return wait()
 }
 
@@ -747,7 +654,6 @@ func (s *System) removeSubject(id profile.SubjectID) error {
 	}
 	wait := s.logLocked("profile.remove", subjPayload{ID: id})
 	s.mu.Unlock()
-	s.signalWarm()
 	return wait()
 }
 
@@ -786,7 +692,6 @@ func (s *System) addAuthorization(a authz.Authorization) (authz.Authorization, e
 	}
 	wait := s.logLocked("authz.add", stored)
 	s.mu.Unlock()
-	s.signalWarm()
 	if err := wait(); err != nil {
 		return authz.Authorization{}, err
 	}
@@ -811,7 +716,6 @@ func (s *System) revokeAuthorization(id authz.ID) (int, error) {
 	}
 	wait := s.logLocked("authz.revoke", idPayload{ID: id})
 	s.mu.Unlock()
-	s.signalWarm()
 	return n, wait()
 }
 
@@ -851,7 +755,6 @@ func (s *System) resolveConflicts(strategy authz.Strategy) ([]authz.Resolution, 
 	}
 	wait := s.logLocked("authz.resolve", strategyPayload{Strategy: int(strategy)})
 	s.mu.Unlock()
-	s.signalWarm()
 	return res, wait()
 }
 
@@ -879,7 +782,6 @@ func (s *System) addRule(spec rules.Spec) (rules.Report, error) {
 	}
 	wait := s.logLocked("rule.add", spec)
 	s.mu.Unlock()
-	s.signalWarm()
 	return rep, wait()
 }
 
@@ -899,7 +801,6 @@ func (s *System) removeRule(name string) error {
 	}
 	wait := s.logLocked("rule.remove", namePayload{Name: name})
 	s.mu.Unlock()
-	s.signalWarm()
 	return wait()
 }
 
@@ -1153,10 +1054,19 @@ func (s *System) InaccessibleDuring(sub profile.SubjectID, window interval.Inter
 }
 
 // Accessible is the complement query of §5. It shares the memoized
-// Algorithm-1 run with Inaccessible rather than recomputing it.
+// Algorithm-1 run with Inaccessible rather than recomputing it; the
+// returned slice is shared with other callers — read-only.
 func (s *System) Accessible(sub profile.SubjectID) []graph.ID {
-	v := s.currentView()
-	return query.AccessibleFrom(v.flat, v.result(sub, query.Options{}))
+	return s.currentView().result(sub, query.Options{}).Accessible
+}
+
+// Partition returns both halves of the §5 answer for sub, the
+// inaccessible and the accessible locations, from one memoized
+// Algorithm-1 run on one view, so together they always partition the
+// site even while grants land. Both slices are shared — read-only.
+func (s *System) Partition(sub profile.SubjectID) (inaccessible, accessible []graph.ID) {
+	res := s.currentView().result(sub, query.Options{})
+	return res.Inaccessible, res.Accessible
 }
 
 // EarliestAccess returns the earliest time sub can be inside l via an
@@ -1238,7 +1148,7 @@ func (s *System) WhoWasIn(l graph.ID, window interval.Interval) []profile.Subjec
 	return s.moves.WhoWasIn(l, window)
 }
 
-// QueryCacheStats reports the epoch cache's hit/miss/flush counters —
+// QueryCacheStats reports the Algorithm-1 memo's hit/miss/flush counters —
 // the observability hook behind the server's /v1/stats endpoint.
 func (s *System) QueryCacheStats() query.CacheStats { return s.cache.Stats() }
 

@@ -213,7 +213,6 @@ func openReplicaSystem(state json.RawMessage, autoDerive bool) (*System, error) 
 	s.mu.Lock()
 	s.publishLocked()
 	s.mu.Unlock()
-	s.startWarm(false, 0)
 	return s, nil
 }
 

@@ -19,14 +19,15 @@ import (
 //     captured ones, so every authorization read inside one query (and
 //     every read of a memoized Algorithm-1 run) comes from exactly this
 //     cut;
-//   - memo is the epoch-pinned Algorithm-1 memo table; because the view
-//     IS the epoch, hits need no version re-validation — one atomic load
-//     and one lock-free table read;
+//   - memo is the System's one Algorithm-1 memo; an entry answers this
+//     view when the subject's authz.Stamp in auths is the one it was
+//     computed under, so a hit is one stamp read and one lock-free
+//     table read;
 //   - flat/root are immutable after Open;
 //   - profiles/moves point at the live, internally-synchronized
 //     databases: presence and profile lookups want current answers, and
-//     nothing the epoch cache memoizes depends on them beyond the epoch
-//     itself (movement changes do not move the epoch).
+//     Algorithm 1 reads neither (a profile edit reaches it only through
+//     the rule-derived grants it adds or revokes in auths).
 //
 // Publication ordering: mutations apply under the System write lock and
 // publish (via atomic store) before releasing it, so a reader that
@@ -39,7 +40,7 @@ type readView struct {
 	auths    *authz.View
 	profiles *profile.DB
 	moves    *movement.DB
-	memo     query.Generation
+	memo     *query.Cache
 }
 
 // result returns the (memoized) Algorithm-1 result for sub under opts,
@@ -53,8 +54,7 @@ func (v *readView) result(sub profile.SubjectID, opts query.Options) *query.Resu
 // publishLocked builds and publishes a fresh readView. Callers hold the
 // write lock, which makes the capture a consistent cut: no System
 // mutation can be mid-flight across the store shards. Views are reused
-// when the epoch did not move (movement-only mutations), so the memo
-// table survives exactly as long as it is valid.
+// when the epoch did not move (movement-only mutations).
 func (s *System) publishLocked() {
 	if s.replaying {
 		return // Open publishes once after the replay finishes
@@ -70,7 +70,7 @@ func (s *System) publishLocked() {
 		auths:    s.store.View(),
 		profiles: s.profiles,
 		moves:    s.moves,
-		memo:     s.cache.Generation(epoch),
+		memo:     s.cache,
 	})
 	s.publishes.Add(1)
 }
@@ -101,7 +101,8 @@ func (s *System) currentView() *readView {
 
 // ViewStats reports the snapshot read path's shape for /v1/stats.
 type ViewStats struct {
-	// Epoch is the published view's cache generation.
+	// Epoch is the published view's generation (the store's plus the
+	// profile database's version).
 	Epoch uint64 `json:"epoch"`
 	// Publishes counts views published since Open (mutations that moved
 	// the epoch, plus reader-side repairs after direct store mutations).

@@ -136,13 +136,19 @@ func TestTraceNil(t *testing.T) {
 // package under -race); every surviving trace must be internally
 // consistent (monotone stages).
 func TestTraceConcurrent(t *testing.T) {
-	tr := NewPipelineTrace(64)
+	// Each worker owns the sequences ≡ w (mod workers), as production
+	// has one apply loop per sequence: a stamp overwrites, so two
+	// workers stamping one sequence could order its stages either way.
+	// The ring holds every sequence, so no two workers share a slot.
+	const workers, perWorker = 4, 500
+	tr := NewPipelineTrace(workers * perWorker)
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for seq := uint64(1); seq <= 500; seq++ {
+			for i := 0; i < perWorker; i++ {
+				seq := uint64(i*workers + w + 1)
 				tr.Stamp(seq, StageReplicaApply, Now())
 				tr.Stamp(seq, StageRelayAppend, Now())
 			}

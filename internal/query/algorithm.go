@@ -19,40 +19,20 @@ import (
 )
 
 // AuthSource supplies the authorizations of a subject on a location;
-// *authz.Store and *authz.View satisfy it.
+// *authz.Store and *authz.View satisfy it. Algorithm 1 reads the returned
+// slices in place and never writes them.
 type AuthSource interface {
 	For(s profile.SubjectID, l graph.ID) []authz.Authorization
 }
 
-// appendSource is the allocation-free gather an AuthSource may optionally
-// provide (both *authz.Store and *authz.View do): FindInaccessible batches
-// its per-location lookups into one backing slice instead of one
-// allocation per location.
-type appendSource interface {
-	AppendFor(dst []authz.Authorization, s profile.SubjectID, l graph.ID) []authz.Authorization
-}
-
-// gatherAuths collects src.For(s, l) for every node of f. With an
-// appendSource the N_L per-location slices share one backing array
-// (sub-sliced by offset after the gather, since appends may reallocate).
+// gatherAuths collects src.For(s, l) for every node of f. The slices are
+// lent, not copied: a View's (and the Store's) For returns its immutable
+// published index, so the gather allocates only the per-node header
+// array.
 func gatherAuths(f *graph.Flat, src AuthSource, s profile.SubjectID) [][]authz.Authorization {
-	n := len(f.Nodes)
-	auths := make([][]authz.Authorization, n)
-	as, ok := src.(appendSource)
-	if !ok {
-		for i, id := range f.Nodes {
-			auths[i] = src.For(s, id)
-		}
-		return auths
-	}
-	var flat []authz.Authorization
-	offs := make([]int, n+1)
+	auths := make([][]authz.Authorization, len(f.Nodes))
 	for i, id := range f.Nodes {
-		flat = as.AppendFor(flat, s, id)
-		offs[i+1] = len(flat)
-	}
-	for i := range auths {
-		auths[i] = flat[offs[i]:offs[i+1]:offs[i+1]]
+		auths[i] = src.For(s, id)
 	}
 	return auths
 }
@@ -86,6 +66,9 @@ type Result struct {
 	// Inaccessible lists the locations with null overall grant time, in
 	// node order (Algorithm 1 line 35).
 	Inaccessible []graph.ID
+	// Accessible is the §5 complement of Inaccessible, in node order:
+	// together they partition f.Nodes.
+	Accessible []graph.ID
 	// States holds the final per-location state.
 	States map[graph.ID]State
 	// Trace holds the per-update rows when tracing was requested.
@@ -210,11 +193,13 @@ func FindInaccessible(f *graph.Flat, src AuthSource, s profile.SubjectID, opts O
 		}
 	}
 
-	// Line 35: return {l | l.T^g = null}.
+	// Line 35: return {l | l.T^g = null}, and its complement.
 	for i, id := range f.Nodes {
 		res.States[id] = states[i]
 		if states[i].Grant.IsEmpty() {
 			res.Inaccessible = append(res.Inaccessible, id)
+		} else {
+			res.Accessible = append(res.Accessible, id)
 		}
 	}
 	return res
@@ -232,25 +217,7 @@ func snapshot(updated graph.ID, f *graph.Flat, states []State) TraceStep {
 // query mentioned in §5 ("a query that find all locations inaccessible
 // (or accessible) to a given subject").
 func Accessible(f *graph.Flat, src AuthSource, s profile.SubjectID) []graph.ID {
-	res := FindInaccessible(f, src, s, Options{})
-	return AccessibleFrom(f, &res)
-}
-
-// AccessibleFrom derives the §5 complement from an already-computed
-// Algorithm-1 result, in node order. The System's cached query path and
-// Accessible share it.
-func AccessibleFrom(f *graph.Flat, res *Result) []graph.ID {
-	inacc := make(map[graph.ID]bool, len(res.Inaccessible))
-	for _, id := range res.Inaccessible {
-		inacc[id] = true
-	}
-	var out []graph.ID
-	for _, id := range f.Nodes {
-		if !inacc[id] {
-			out = append(out, id)
-		}
-	}
-	return out
+	return FindInaccessible(f, src, s, Options{}).Accessible
 }
 
 // EarliestAccess returns the earliest chronon at which subject s can be

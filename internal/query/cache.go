@@ -1,10 +1,10 @@
 package query
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/authz"
 	"repro/internal/graph"
 	"repro/internal/interval"
 	"repro/internal/profile"
@@ -12,127 +12,65 @@ import (
 
 // cacheKey identifies one memoized FindInaccessible run: the subject and
 // the §6 access request window (the zero window is the Def.-8 default
-// [0, ∞)). The epoch is not part of the key — each epoch owns its own
-// generation table, so stale generations never mix with fresh ones.
+// [0, ∞)).
 type cacheKey struct {
 	subject profile.SubjectID
 	window  interval.Interval
 }
 
-// generation is one epoch's memo table. Lookups and inserts go through a
-// sync.Map so the hit path is lock-free: a hot query costs one atomic
-// generation load plus one sync.Map read, with no mutex to bounce between
-// cores. count bounds the table (it may overshoot the limit by a few
-// entries under concurrent misses, which only wastes a little memory).
-type generation struct {
-	epoch   uint64
-	entries sync.Map // cacheKey -> *Result
-	count   atomic.Int64
+// entry is one memoized run: the result and the subject's stamp in the
+// view it was computed on.
+type entry struct {
+	stamp authz.Stamp
+	res   *Result
 }
 
-func (g *generation) store(key cacheKey, res *Result, limit int) {
-	if int(g.count.Load()) >= limit {
-		return
-	}
-	if _, loaded := g.entries.LoadOrStore(key, res); !loaded {
-		g.count.Add(1)
-	}
-}
-
-// Cache memoizes Algorithm-1 results per (subject, window) at a given
-// epoch. The epoch is supplied by the caller — typically the sum of the
-// authorization store's and profile database's mutation versions — and
-// each epoch owns an immutable-once-superseded generation table, so a
-// cached Result is always equal to a fresh recomputation at the state it
-// was keyed to.
+// Cache memoizes Algorithm-1 results per (subject, window). FindInaccessible
+// for s reads only the graph, which is fixed per cache user, and
+// v.For(s, ·), which cannot change while s's authz.Stamp stays the same.
+// So an entry answers a lookup on any view in which s has the stamp the
+// entry was computed under, and a write to one subject leaves every other
+// subject's entries valid (bar the few that share its store bucket). A
+// lookup whose stamp differs recomputes and replaces the entry.
 //
-// The hit path acquires no mutex: the current generation hangs off an
-// atomic pointer and its table is a sync.Map. Epoch moves install a new
-// generation by compare-and-swap; lookups at an older epoch run against a
-// detached table and never pollute the current one.
+// The hit path acquires no mutex: the table is a sync.Map. It holds at
+// most limit keys; inserting a new key into a full table empties it
+// first (one flush). Replacing a stale entry is not a new key.
 //
 // Cached Results are shared between goroutines and must be treated as
-// read-only by callers (Algorithm 1 never mutates a returned Result, so
-// this falls out naturally for the System query path).
+// read-only by callers.
 //
 // Bounded windows that cannot change the answer are served from the
-// default-window entry (interval subsumption, see Result), and the cache
-// tracks which subjects were queried most recently so a post-mutation
-// warmer can re-derive them before the first inline query pays the
-// fixpoint (RecentSubjects).
+// default-window entry (interval subsumption, see Result).
 //
 // The zero Cache is not usable; call NewCache.
 type Cache struct {
-	cur   atomic.Pointer[generation]
-	limit int
-
-	// Recency survives epoch flushes by design: it answers "who is hot",
-	// not "what is the answer", and the warmer needs it exactly when the
-	// table was just flushed.
-	recMu  sync.Mutex
-	recSeq uint64
-	recent map[profile.SubjectID]uint64
+	entries sync.Map // cacheKey -> *entry
+	count   atomic.Int64
+	limit   int64
 
 	hits, misses, flushes, subsumed atomic.Uint64
 }
 
 // DefaultCacheLimit bounds the number of memoized (subject, window) pairs
-// per epoch when NewCache is given a non-positive limit. One entry holds
-// O(N_L) state, so the bound keeps worst-case memory proportional to the
-// site size times a constant roster of hot subjects.
+// when NewCache is given a non-positive limit. One entry holds O(N_L)
+// state, so the bound keeps worst-case memory proportional to the site
+// size times a constant roster of subjects.
 const DefaultCacheLimit = 4096
 
-// NewCache returns an empty cache holding at most limit entries per epoch
-// (limit <= 0 selects DefaultCacheLimit).
+// NewCache returns an empty cache holding at most limit entries (limit
+// <= 0 selects DefaultCacheLimit).
 func NewCache(limit int) *Cache {
 	if limit <= 0 {
 		limit = DefaultCacheLimit
 	}
-	c := &Cache{
-		recent: make(map[profile.SubjectID]uint64),
-		limit:  limit,
-	}
-	c.cur.Store(&generation{})
-	return c
+	return &Cache{limit: int64(limit)}
 }
 
-// Generation pins the memo table of one epoch. The core read path stores
-// a Generation in each published readView so that cache hits skip even
-// the epoch comparison: the view is the epoch.
-type Generation struct {
-	c *Cache
-	g *generation
-}
-
-// Generation returns the memo table for the given epoch, installing a
-// fresh one if epoch is newer than the current generation. An epoch older
-// than the current one gets a detached table: its results are computed
-// and memoized for the caller that holds the handle, but never published
-// — a stale generation cannot overwrite a newer one.
-func (c *Cache) Generation(epoch uint64) Generation {
-	for {
-		g := c.cur.Load()
-		switch {
-		case g.epoch == epoch:
-			return Generation{c: c, g: g}
-		case epoch < g.epoch:
-			return Generation{c: c, g: &generation{epoch: epoch}}
-		}
-		ng := &generation{epoch: epoch}
-		if c.cur.CompareAndSwap(g, ng) {
-			c.flushes.Add(1)
-			return Generation{c: c, g: ng}
-		}
-	}
-}
-
-// Epoch returns the generation's epoch.
-func (gen Generation) Epoch() uint64 { return gen.g.epoch }
-
-// Result returns the memoized FindInaccessible result for (s, opts.Window)
-// in this generation, computing and storing it on a miss. Traced runs are
-// never cached (the trace is a debugging artifact whose cost dwarfs the
-// fixpoint); they always recompute.
+// Result returns the memoized FindInaccessible result for (s,
+// opts.Window) on view v, computing and storing it on a miss. Traced
+// runs are never cached (the trace is a debugging artifact whose cost
+// dwarfs the fixpoint); they always recompute.
 //
 // A bounded-window miss first tries interval subsumption: the window only
 // enters Algorithm 1 through the §6 clamping of entry-location
@@ -141,48 +79,53 @@ func (gen Generation) Epoch() uint64 { return gen.g.epoch }
 // location, the run is step-for-step identical to the default-window
 // [0, ∞) run and the cached default entry answers the bounded query.
 // Subsumed lookups count as hits (and in CacheStats.Subsumed).
-func (gen Generation) Result(f *graph.Flat, src AuthSource, s profile.SubjectID, opts Options) *Result {
-	c, g := gen.c, gen.g
+func (c *Cache) Result(f *graph.Flat, v *authz.View, s profile.SubjectID, opts Options) *Result {
 	if opts.Trace {
-		res := FindInaccessible(f, src, s, opts)
+		res := FindInaccessible(f, v, s, opts)
 		return &res
 	}
+	stamp := v.SubjectStamp(s)
 	window := opts.window()
 	key := cacheKey{subject: s, window: window}
-	if v, ok := g.entries.Load(key); ok {
+	if res := c.lookup(key, stamp); res != nil {
 		c.hits.Add(1)
-		return v.(*Result)
+		return res
 	}
-
-	// Recency is recorded only on the slow paths (miss or subsumption),
-	// never on plain hits: every epoch flush makes a hot subject's next
-	// query a miss, so the recency map still tracks who is hot per
-	// generation, and the parallel hit path stays free of the exclusive
-	// recMu lock.
 	if defWindow := (Options{}).window(); window != defWindow {
-		if v, ok := g.entries.Load(cacheKey{subject: s, window: defWindow}); ok && windowSubsumed(f, src, s, window) {
-			defRes := v.(*Result)
-			c.touch(s)
+		if res := c.lookup(cacheKey{subject: s, window: defWindow}, stamp); res != nil && windowSubsumed(f, v, s, window) {
 			c.hits.Add(1)
 			c.subsumed.Add(1)
-			g.store(key, defRes, c.limit) // future bounded lookups are plain hits
-			return defRes
+			c.store(key, &entry{stamp, res}) // future bounded lookups are plain hits
+			return res
 		}
 	}
-
-	c.touch(s)
 	c.misses.Add(1)
-	res := FindInaccessible(f, src, s, opts)
-	g.store(key, &res, c.limit)
+	res := FindInaccessible(f, v, s, opts)
+	c.store(key, &entry{stamp, &res})
 	return &res
 }
 
-// Result returns the memoized FindInaccessible result for (s, opts.Window)
-// at the given epoch — Generation(epoch).Result. Callers that query the
-// same epoch repeatedly (the core System) hold the Generation instead and
-// skip the epoch resolution.
-func (c *Cache) Result(epoch uint64, f *graph.Flat, src AuthSource, s profile.SubjectID, opts Options) *Result {
-	return c.Generation(epoch).Result(f, src, s, opts)
+// lookup returns key's memoized result if it was computed under stamp.
+func (c *Cache) lookup(key cacheKey, stamp authz.Stamp) *Result {
+	if e, ok := c.entries.Load(key); ok && e.(*entry).stamp.Same(stamp) {
+		return e.(*entry).res
+	}
+	return nil
+}
+
+// store memoizes e under key, emptying a full table before a new key.
+// Under concurrent stores the count may drift by a few entries around a
+// flush, which only moves the next flush.
+func (c *Cache) store(key cacheKey, e *entry) {
+	if _, ok := c.entries.Load(key); !ok {
+		if n := c.count.Load(); n >= c.limit && c.count.CompareAndSwap(n, 0) {
+			c.entries.Clear()
+			c.flushes.Add(1)
+		}
+	}
+	if _, loaded := c.entries.Swap(key, e); !loaded {
+		c.count.Add(1)
+	}
 }
 
 // windowSubsumed reports whether the bounded window would produce exactly
@@ -205,97 +148,25 @@ func windowSubsumed(f *graph.Flat, src AuthSource, s profile.SubjectID, window i
 	return true
 }
 
-// touch records s as recently queried.
-func (c *Cache) touch(s profile.SubjectID) {
-	c.recMu.Lock()
-	c.recSeq++
-	c.recent[s] = c.recSeq
-	if len(c.recent) > c.limit {
-		// Rare: halve by recency so the map stays bounded by the roster
-		// of hot subjects, not the lifetime subject population.
-		c.pruneRecentLocked()
-	}
-	c.recMu.Unlock()
-}
-
-func (c *Cache) pruneRecentLocked() {
-	seqs := make([]uint64, 0, len(c.recent))
-	for _, seq := range c.recent {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
-	floor := seqs[len(seqs)/2]
-	for s, seq := range c.recent {
-		if seq < floor {
-			delete(c.recent, s)
-		}
-	}
-}
-
-// RecentSubjects returns up to k subjects ordered from most to least
-// recently computed-for (a miss or a subsumption; plain hits don't
-// refresh recency) — the warm set for post-mutation re-derivation.
-func (c *Cache) RecentSubjects(k int) []profile.SubjectID {
-	if k <= 0 {
-		return nil
-	}
-	type entry struct {
-		s   profile.SubjectID
-		seq uint64
-	}
-	c.recMu.Lock()
-	all := make([]entry, 0, len(c.recent))
-	for s, seq := range c.recent {
-		all = append(all, entry{s, seq})
-	}
-	c.recMu.Unlock()
-	sort.Slice(all, func(i, j int) bool { return all[i].seq > all[j].seq })
-	if len(all) > k {
-		all = all[:k]
-	}
-	out := make([]profile.SubjectID, len(all))
-	for i, e := range all {
-		out[i] = e.s
-	}
-	return out
-}
-
-// Invalidate drops every memoized entry regardless of epoch by installing
-// a fresh generation at the current epoch. The System does not need it
-// (every state change it serves is covered by a version counter); it
-// exists for callers embedding Cache over an AuthSource without one.
-// Callers still holding a Generation handle keep their pinned table.
-func (c *Cache) Invalidate() {
-	for {
-		g := c.cur.Load()
-		if c.cur.CompareAndSwap(g, &generation{epoch: g.epoch}) {
-			c.flushes.Add(1)
-			return
-		}
-	}
-}
-
 // CacheStats is a point-in-time snapshot of cache effectiveness.
 type CacheStats struct {
-	Hits    uint64 `json:"hits"`
-	Misses  uint64 `json:"misses"`
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
+	// Flushes counts the times a full table was emptied.
 	Flushes uint64 `json:"flushes"`
 	// Subsumed counts the hits served to bounded windows from the
 	// default-window entry; they are included in Hits.
 	Subsumed uint64 `json:"subsumed"`
 	Entries  int    `json:"entries"`
-	Epoch    uint64 `json:"epoch"`
 }
 
 // Stats reports hit/miss/flush counters and the current table size.
 func (c *Cache) Stats() CacheStats {
-	g := c.cur.Load()
 	return CacheStats{
 		Hits:     c.hits.Load(),
 		Misses:   c.misses.Load(),
 		Flushes:  c.flushes.Load(),
 		Subsumed: c.subsumed.Load(),
-		Entries:  int(g.count.Load()),
-		Epoch:    g.epoch,
+		Entries:  int(c.count.Load()),
 	}
 }

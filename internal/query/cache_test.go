@@ -12,9 +12,10 @@ import (
 	"repro/internal/profile"
 )
 
-// TestCacheMatchesDirect: at every epoch, the cached result equals a
-// direct FindInaccessible run — over random graphs, random windows, and
-// mutations between epochs (reusing the equivalence-test fixtures).
+// TestCacheMatchesDirect: after every mutation, the cached result equals
+// a direct FindInaccessible run on the same view — over random graphs,
+// random windows, and mutations between views (reusing the
+// equivalence-test fixtures).
 func TestCacheMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	for trial := 0; trial < 60; trial++ {
@@ -24,53 +25,75 @@ func TestCacheMatchesDirect(t *testing.T) {
 		randomAuths(rng, st, f.Nodes)
 		c := NewCache(0)
 
-		for epoch := 0; epoch < 4; epoch++ {
+		for step := 0; step < 4; step++ {
 			opts := Options{}
 			if rng.Intn(2) == 0 {
 				lo := interval.Time(rng.Intn(40))
 				opts.Window = interval.New(lo, lo+interval.Time(rng.Intn(60)))
 			}
-			direct := FindInaccessible(f, st, "u", opts).Inaccessible
+			v := st.View()
+			direct := FindInaccessible(f, v, "u", opts).Inaccessible
 			for rep := 0; rep < 3; rep++ {
-				cached := c.Result(st.Version(), f, st, "u", opts).Inaccessible
+				cached := c.Result(f, v, "u", opts).Inaccessible
 				if fmt.Sprint(cached) != fmt.Sprint(direct) {
-					t.Fatalf("trial %d epoch %d rep %d: cached %v != direct %v",
-						trial, epoch, rep, cached, direct)
+					t.Fatalf("trial %d step %d rep %d: cached %v != direct %v",
+						trial, step, rep, cached, direct)
 				}
 			}
-			// Mutate for the next epoch.
+			// Mutate for the next view.
 			randomAuths(rng, st, f.Nodes[:1+rng.Intn(len(f.Nodes))])
 		}
 	}
 }
 
-// TestCacheStaleEpochNotStored: a result computed under an old epoch
-// must not overwrite the newer generation.
+// TestCacheStaleEpochNotStored: a result memoized on one view is never
+// served to a view in which the subject's authorizations differ, in
+// either direction — a lookup on a stale view after a fresh one, and a
+// fresh lookup after the stale one replaced the entry.
 func TestCacheStaleEpochNotStored(t *testing.T) {
 	f := graph.Expand(randomFlatGraph(rand.New(rand.NewSource(5)), 5, 2, 1))
 	st := authz.NewStore()
+	old := st.View() // u holds nothing: every location is inaccessible
 	randomAuths(rand.New(rand.NewSource(6)), st, f.Nodes)
-	c := NewCache(0)
-
-	_ = c.Result(10, f, st, "u", Options{}) // newer generation owns the table
-	_ = c.Result(3, f, st, "u", Options{})  // stale: computed but not stored
-	stats := c.Stats()
-	if stats.Epoch != 10 {
-		t.Errorf("epoch = %d, want 10", stats.Epoch)
+	if _, err := st.Add(authz.New(interval.From(1), interval.From(1), "u", f.Nodes[f.Entries[0]], authz.Unlimited)); err != nil {
+		t.Fatal(err)
 	}
-	if stats.Entries != 1 {
-		t.Errorf("entries = %d, want 1 (stale result must not be stored)", stats.Entries)
+	cur := st.View()
+	wantOld := fmt.Sprint(FindInaccessible(f, old, "u", Options{}).Inaccessible)
+	wantCur := fmt.Sprint(FindInaccessible(f, cur, "u", Options{}).Inaccessible)
+	if wantOld == wantCur {
+		t.Fatal("fixture: the two views must disagree")
+	}
+	c := NewCache(0)
+	for i, step := range []struct {
+		v    *authz.View
+		want string
+	}{{cur, wantCur}, {old, wantOld}, {cur, wantCur}, {cur, wantCur}} {
+		if got := fmt.Sprint(c.Result(f, step.v, "u", Options{}).Inaccessible); got != step.want {
+			t.Fatalf("lookup %d: %s, want %s", i, got, step.want)
+		}
+	}
+	if s := c.Stats(); s.Misses != 3 || s.Hits != 1 || s.Entries != 1 {
+		t.Errorf("stats = %+v, want 3 misses, 1 hit, 1 entry", s)
 	}
 }
 
-// TestCacheConcurrentEpochRace: concurrent lookups at mixed epochs are
-// race-free and every returned result is correct for the store state it
-// was computed from (the store is not mutated during the race).
+// TestCacheConcurrentEpochRace: concurrent lookups on a mix of views,
+// taken before and after mutations, are race-free, and every returned
+// result is the one for the view it was asked on, while the entries
+// replace each other.
 func TestCacheConcurrentEpochRace(t *testing.T) {
-	f := graph.Expand(randomFlatGraph(rand.New(rand.NewSource(7)), 8, 3, 2))
+	rng := rand.New(rand.NewSource(7))
+	f := graph.Expand(randomFlatGraph(rng, 8, 3, 2))
 	st := authz.NewStore()
-	randomAuths(rand.New(rand.NewSource(8)), st, f.Nodes)
-	want := fmt.Sprint(FindInaccessible(f, st, "u", Options{}).Inaccessible)
+	var views []*authz.View
+	var want []string
+	for i := 0; i < 5; i++ {
+		randomAuths(rng, st, f.Nodes)
+		v := st.View()
+		views = append(views, v)
+		want = append(want, fmt.Sprint(FindInaccessible(f, v, "u", Options{}).Inaccessible))
+	}
 
 	c := NewCache(0)
 	var wg sync.WaitGroup
@@ -79,10 +102,10 @@ func TestCacheConcurrentEpochRace(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				epoch := uint64(i % 5) // deliberately contend on flushes
-				got := c.Result(epoch, f, st, "u", Options{}).Inaccessible
-				if fmt.Sprint(got) != want {
-					t.Errorf("worker %d: %v != %v", w, got, want)
+				k := (i / 20) % len(views) // runs of one view, so some lookups hit
+				got := c.Result(f, views[k], "u", Options{}).Inaccessible
+				if fmt.Sprint(got) != want[k] {
+					t.Errorf("worker %d view %d: %v != %s", w, k, got, want[k])
 					return
 				}
 			}
@@ -117,16 +140,16 @@ func TestCacheWindowSubsumption(t *testing.T) {
 		}
 	}
 	c := NewCache(0)
-	epoch := st.Version()
+	v := st.View()
 
-	def := c.Result(epoch, f, st, "u", Options{})
+	def := c.Result(f, v, "u", Options{})
 	if got := c.Stats(); got.Misses != 1 {
 		t.Fatalf("priming stats = %+v", got)
 	}
 
 	// [1, 100] contains every entry auth's entry and exit duration: the
 	// clamp is a no-op, so the default entry must answer it.
-	sub := c.Result(epoch, f, st, "u", Options{Window: interval.New(1, 100)})
+	sub := c.Result(f, v, "u", Options{Window: interval.New(1, 100)})
 	if sub != def {
 		t.Error("subsumable window did not share the default-window result")
 	}
@@ -136,7 +159,7 @@ func TestCacheWindowSubsumption(t *testing.T) {
 	}
 	// The subsumed answer is now stored under the bounded key: a repeat
 	// is a plain hit.
-	_ = c.Result(epoch, f, st, "u", Options{Window: interval.New(1, 100)})
+	_ = c.Result(f, v, "u", Options{Window: interval.New(1, 100)})
 	st2 := c.Stats()
 	if st2.Hits != 2 || st2.Subsumed != 1 || st2.Misses != 1 {
 		t.Errorf("after repeat: %+v", st2)
@@ -144,11 +167,11 @@ func TestCacheWindowSubsumption(t *testing.T) {
 
 	// [20, 100] clamps the entry duration ([10,30] -> [20,30]): must
 	// recompute, and the answers must equal direct runs.
-	bounded := c.Result(epoch, f, st, "u", Options{Window: interval.New(20, 100)})
+	bounded := c.Result(f, v, "u", Options{Window: interval.New(20, 100)})
 	if c.Stats().Misses != 2 {
 		t.Errorf("clamping window must miss: %+v", c.Stats())
 	}
-	direct := FindInaccessible(f, st, "u", Options{Window: interval.New(20, 100)})
+	direct := FindInaccessible(f, v, "u", Options{Window: interval.New(20, 100)})
 	if fmt.Sprint(bounded.Inaccessible) != fmt.Sprint(direct.Inaccessible) {
 		t.Errorf("bounded: cached %v != direct %v", bounded.Inaccessible, direct.Inaccessible)
 	}
@@ -164,13 +187,14 @@ func TestCacheSubsumptionMatchesDirect(t *testing.T) {
 		f := graph.Expand(g)
 		st := authz.NewStore()
 		randomAuths(rng, st, f.Nodes)
+		v := st.View()
 		c := NewCache(0)
-		_ = c.Result(st.Version(), f, st, "u", Options{}) // prime the default entry
+		_ = c.Result(f, v, "u", Options{}) // prime the default entry
 		for rep := 0; rep < 6; rep++ {
 			lo := interval.Time(rng.Intn(60))
 			opts := Options{Window: interval.New(lo, lo+interval.Time(rng.Intn(80)))}
-			direct := FindInaccessible(f, st, "u", opts).Inaccessible
-			cached := c.Result(st.Version(), f, st, "u", opts).Inaccessible
+			direct := FindInaccessible(f, v, "u", opts).Inaccessible
+			cached := c.Result(f, v, "u", opts).Inaccessible
 			if fmt.Sprint(cached) != fmt.Sprint(direct) {
 				t.Fatalf("trial %d rep %d window %v: cached %v != direct %v",
 					trial, rep, opts.Window, cached, direct)
@@ -179,41 +203,42 @@ func TestCacheSubsumptionMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestCacheRecentSubjects: recency order is most-recent-first, k-bounded,
-// refreshed on misses (plain hits leave it untouched, keeping the hit
-// path lock-free), and survives epoch flushes (the warmer needs it right
-// after one).
-func TestCacheRecentSubjects(t *testing.T) {
-	f := graph.Expand(randomFlatGraph(rand.New(rand.NewSource(11)), 4, 1, 1))
-	st := authz.NewStore()
-	c := NewCache(0)
-	for _, s := range []profile.SubjectID{"a", "b", "c", "a"} {
-		_ = c.Result(1, f, st, s, Options{}) // final "a" is a hit: no refresh
-	}
-	if got := fmt.Sprint(c.RecentSubjects(2)); got != "[c b]" {
-		t.Errorf("RecentSubjects(2) = %s, want [c b]", got)
-	}
-	// Epoch flush must not erase recency; the new-epoch miss lands first.
-	_ = c.Result(2, f, st, "d", Options{})
-	if got := fmt.Sprint(c.RecentSubjects(3)); got != "[d c b]" {
-		t.Errorf("after flush: %s, want [d c b]", got)
-	}
-	if got := c.RecentSubjects(0); got != nil {
-		t.Errorf("RecentSubjects(0) = %v, want nil", got)
-	}
-}
-
-// TestCacheLimit: the per-epoch table is bounded; overflow entries are
-// computed but not retained.
+// TestCacheLimit: the table is bounded; a new key into a full table
+// empties it first and counts one flush.
 func TestCacheLimit(t *testing.T) {
 	f := graph.Expand(randomFlatGraph(rand.New(rand.NewSource(9)), 4, 1, 1))
-	st := authz.NewStore()
+	v := authz.NewStore().View()
 	c := NewCache(2)
 	for i := 0; i < 10; i++ {
 		sub := fmt.Sprintf("u%d", i)
-		_ = c.Result(1, f, st, profile.SubjectID(sub), Options{})
+		_ = c.Result(f, v, profile.SubjectID(sub), Options{})
 	}
-	if stats := c.Stats(); stats.Entries > 2 {
-		t.Errorf("entries = %d, want <= 2", stats.Entries)
+	if stats := c.Stats(); stats.Entries > 2 || stats.Flushes != 4 {
+		t.Errorf("stats = %+v, want <= 2 entries after 4 flushes", stats)
+	}
+}
+
+// TestGatherLends: the Algorithm-1 gather allocates only its per-node
+// slice-header array, however many authorizations the subject holds:
+// the slices are the view's own, not copies.
+func TestGatherLends(t *testing.T) {
+	f := graph.Expand(randomFlatGraph(rand.New(rand.NewSource(3)), 8, 3, 1))
+	st := authz.NewStore()
+	for _, l := range f.Nodes {
+		for k := 0; k < 8; k++ {
+			if _, err := st.Add(authz.New(interval.From(interval.Time(1+k)), interval.From(interval.Time(1+k)), "u", l, authz.Unlimited)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	v := st.View()
+	var auths [][]authz.Authorization
+	if n := testing.AllocsPerRun(100, func() { auths = gatherAuths(f, v, "u") }); n != 1 {
+		t.Errorf("gather allocates %v times per call, want 1 (the header array)", n)
+	}
+	for i, l := range f.Nodes {
+		if lent := v.For("u", l); len(auths[i]) != 8 || &auths[i][0] != &lent[0] {
+			t.Fatalf("gather copied %s's authorizations instead of lending them", l)
+		}
 	}
 }

@@ -359,7 +359,7 @@ func FreshAnswers(sys *core.System, subs []profile.SubjectID, rooms []graph.ID, 
 		res := query.FindInaccessible(flat, store, sub, query.Options{})
 		a.Inaccessible[sub] = res.Inaccessible
 		a.Bounded[sub] = query.FindInaccessible(flat, store, sub, query.Options{Window: boundedWindow}).Inaccessible
-		a.Accessible[sub] = query.AccessibleFrom(flat, &res)
+		a.Accessible[sub] = res.Accessible
 		for _, l := range rooms {
 			key := string(sub) + "@" + string(l)
 			if at, ok := res.States[l].Grant.Earliest(); ok {

@@ -31,7 +31,7 @@ func (s *Server) buildRegistry() *obs.Registry {
 			sample(float64(cs.Hits), obs.Label{Name: "result", Value: "hit"})
 			sample(float64(cs.Misses), obs.Label{Name: "result", Value: "miss"})
 		})
-		w.Counter("ltam_cache_flushes_total", "Query-cache epoch flushes.", float64(cs.Flushes))
+		w.Counter("ltam_cache_flushes_total", "Query-cache flushes of a full table.", float64(cs.Flushes))
 		w.Counter("ltam_cache_subsumed_total", "Bounded-window hits served from the default-window entry.", float64(cs.Subsumed))
 		w.Gauge("ltam_cache_entries", "Live query-cache entries.", float64(cs.Entries))
 		as := s.sys.AuthStore().Stats()

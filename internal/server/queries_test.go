@@ -2,12 +2,16 @@ package server
 
 import (
 	"net/http"
+	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"repro/internal/authz"
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/interval"
 	"repro/internal/profile"
+	"repro/internal/wire"
 )
 
 func TestReachAndWhoCanOverWire(t *testing.T) {
@@ -95,4 +99,71 @@ func TestStatsOverWire(t *testing.T) {
 	if stats.Cache.Misses == 0 {
 		t.Errorf("expected cache misses, got %+v", stats.Cache)
 	}
+}
+
+// TestInaccessiblePartitionsUnderGrants: each /v1/queries/inaccessible
+// response comes from one Algorithm-1 run on one view, so its two lists
+// partition the site's locations even while grants and revokes that
+// flip the answer land between and during the queries.
+func TestInaccessiblePartitionsUnderGrants(t *testing.T) {
+	sys, err := core.Open(core.Config{Graph: graph.NTUCampus()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	ts := httptest.NewServer(New(sys))
+	defer ts.Close()
+	c := wire.NewClient(ts.URL)
+	corridor := []graph.ID{graph.SCESectionA, graph.SCESectionB, graph.CAIS}
+	for _, l := range corridor {
+		if _, err := sys.AddAuthorization(authz.New(iv("[1, 40]"), iv("[2, 60]"), "Alice", l, authz.Unlimited)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nodes := sys.Flat().Nodes
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // open and close the corridor's first hop
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			a, err := sys.AddAuthorization(authz.New(iv("[1, 40]"), iv("[2, 60]"), "Alice", graph.SCEGO, authz.Unlimited))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := sys.RevokeAuthorization(a.ID); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	defer func() { close(stop); wg.Wait() }()
+
+	sizes := map[int]bool{}
+	for i := 0; i < 300; i++ {
+		resp, err := c.Inaccessible("Alice")
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[graph.ID]int{}
+		for _, l := range resp.Inaccessible {
+			seen[l]++
+		}
+		for _, l := range resp.Accessible {
+			seen[l]++
+		}
+		if len(resp.Inaccessible)+len(resp.Accessible) != len(nodes) || len(seen) != len(nodes) {
+			t.Fatalf("response %d does not partition the %d locations: inaccessible %v, accessible %v",
+				i, len(nodes), resp.Inaccessible, resp.Accessible)
+		}
+		sizes[len(resp.Accessible)] = true
+	}
+	t.Logf("accessible-list sizes seen: %v", sizes)
 }

@@ -408,10 +408,11 @@ func (s *Server) inaccessible(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("subject parameter required"))
 		return
 	}
+	inacc, acc := s.sys.Partition(subject)
 	writeJSON(w, http.StatusOK, wire.InaccessibleResponse{
 		Subject:      subject,
-		Inaccessible: s.sys.Inaccessible(subject),
-		Accessible:   s.sys.Accessible(subject),
+		Inaccessible: inacc,
+		Accessible:   acc,
 	})
 }
 

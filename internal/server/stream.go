@@ -175,6 +175,16 @@ func (f flushWriter) Write(p []byte) (int, error) {
 // NDJSON; application/x-ltam-frame selects the binary framing for both
 // directions (observe frames in, ack frames out).
 func (s *Server) streamObserve(w http.ResponseWriter, r *http.Request) {
+	// Every ingest response ends its connection. With full duplex the
+	// server leaves the unread request body to the handler; whatever is
+	// left when the handler returns (all of a refused upload, or a tail
+	// past the drain below) is read by net/http's post-handler body
+	// Close, and a body EOF reached there arms the connection's
+	// background read after the request's pending read was aborted. On a
+	// kept-alive connection the next request's read then races it and
+	// panics ("invalid concurrent Body.Read call"). A closed connection
+	// reads no next request.
+	w.Header().Set("Connection", "close")
 	rc := http.NewResponseController(w)
 	// Acks must reach the client while its request body is still open;
 	// without full duplex Go's HTTP/1.x server would cut the body off at
@@ -223,9 +233,9 @@ func (s *Server) streamObserve(w http.ResponseWriter, r *http.Request) {
 			stream.NewNDJSONAckWriter(flushWriter{w: w, rc: rc}), sess)
 	}
 	// Consume the body's trailing framing (the ingestor stops at the End
-	// frame, before the chunked terminator): with full duplex the server
-	// leaves the unread tail to us, and an unread tail makes the next
-	// request's read on this keep-alive connection race it.
+	// frame, before the chunked terminator) while the handler still owns
+	// the body, rather than leave it to net/http's post-handler Close
+	// (see the top of this function).
 	_, _ = io.Copy(io.Discard, io.LimitReader(r.Body, 256<<10))
 }
 
