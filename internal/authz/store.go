@@ -483,6 +483,17 @@ func (st *Store) RevokeIf(pred func(Authorization) bool) int {
 	return removed
 }
 
+// Match returns every authorization for which pred returns true, sorted
+// by ID. pred runs on each shard's published state with no lock held.
+func (st *Store) Match(pred func(Authorization) bool) []Authorization {
+	var out []Authorization
+	for i := range st.shards {
+		out = append(out, st.shards[i].data.Load().match(pred)...)
+	}
+	sortAuths(out)
+	return out
+}
+
 // For returns the authorizations for subject s at location l, sorted by
 // ID — the lookup behind every access request (Def. 7 checks "there
 // exists at least one location temporal authorization" for the pair).

@@ -231,10 +231,9 @@ func TestMemoGrantKeepsOtherSubjectsHits(t *testing.T) {
 // moves. An edit with no rule effect on a subject leaves that subject's
 // entry a hit; an edit that changes a rule's output moves the bucket of
 // each subject that gains or loses a derived grant, and their next
-// answers are the new ones. (Under AutoDerive every profile edit
-// re-derives all rules, revoking and re-adding their output, so the
-// rule's current grantees miss once even when nothing changed for them;
-// their answers stay right.)
+// answers are the new ones. Under AutoDerive every profile edit
+// re-derives every rule, but a rule whose output did not change leaves
+// the store alone, so its grantees keep their derived IDs and hits.
 func TestMemoProfileEdits(t *testing.T) {
 	g, rooms, _, _ := gridSite(t, 3)
 	sys, err := Open(Config{Graph: g, AutoDerive: true})
@@ -268,15 +267,21 @@ func TestMemoProfileEdits(t *testing.T) {
 	}
 
 	// No rule effect: carol's name changes.
+	derived := sys.AuthorizationsFor(bob, rooms[0])
+	if len(derived) != 1 || !derived[0].IsDerived() {
+		t.Fatalf("fixture: bob holds %v at the entry room; want one derived grant", derived)
+	}
 	if err := sys.PutSubject(profile.Subject{ID: carol, Name: "Carol"}); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []profile.SubjectID{alice, carol, dave} {
+	for _, s := range subs {
 		if !memoHit(t, sys, s) {
 			t.Errorf("an edit of %s's name turned %s's memoized answer into a miss", carol, s)
 		}
 	}
-	_ = memoHit(t, sys, bob) // re-derived with fresh IDs: may miss, must be right
+	if got := sys.AuthorizationsFor(bob, rooms[0]); len(got) != 1 || got[0].ID != derived[0].ID {
+		t.Errorf("an edit of %s's name moved bob's derived grant: %v, want ID %d", carol, got, derived[0].ID)
+	}
 
 	// A rule effect: alice's supervisor moves from bob to dave.
 	if err := sys.PutSubject(profile.Subject{ID: alice, Supervisor: dave}); err != nil {

@@ -2,6 +2,7 @@ package rules
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -164,20 +165,54 @@ func (e *Engine) DeriveAll() ([]Report, error) {
 	return reports, firstErr
 }
 
-// deriveLocked evaluates rule r: it revokes the rule's previous output,
-// applies the operator tuple to the base authorization, and stores the
-// cartesian product of the derived components, skipping combinations
-// whose temporal constraints are unsatisfiable.
+// deriveLocked evaluates rule r and replaces the rule's output in the
+// store with the result. When the result equals the output already
+// stored (every field but the ID), the store is left as it is: the
+// derived authorizations keep their IDs and no store bucket moves. The
+// comparison reads the store only, so a follower applying the same
+// records makes the same choice as its primary and assigns the same IDs.
 func (e *Engine) deriveLocked(r Rule) (Report, error) {
-	rep := Report{Rule: r.Name}
-	e.store.RevokeIf(derivedBy(r.Name))
+	rep, pending, err := e.evaluateLocked(r)
+	current := e.store.Match(derivedBy(r.Name))
+	if err == nil && sameOutput(current, pending) {
+		rep.Derived = current
+		return rep, nil
+	}
+	if len(current) > 0 {
+		e.store.RevokeIf(derivedBy(r.Name))
+	}
+	if err != nil {
+		return rep, err
+	}
+	stored, err := e.store.AddAll(pending)
+	if err != nil {
+		return rep, fmt.Errorf("rules: rule %q: store: %w", r.Name, err)
+	}
+	rep.Derived = stored
+	return rep, nil
+}
 
+// sameOutput reports whether the stored output (sorted by ID, so in the
+// order it was added) equals pending in every field but the ID.
+func sameOutput(stored, pending []authz.Authorization) bool {
+	return slices.EqualFunc(stored, pending, func(a, b authz.Authorization) bool {
+		a.ID = b.ID
+		return a == b
+	})
+}
+
+// evaluateLocked applies rule r's operator tuple to the base
+// authorization and returns the cartesian product of the derived
+// components, skipping combinations whose temporal constraints are
+// unsatisfiable.
+func (e *Engine) evaluateLocked(r Rule) (Report, []authz.Authorization, error) {
+	rep := Report{Rule: r.Name}
 	base, err := e.store.Get(r.Base)
 	if err != nil {
 		// The base was revoked after rule registration: the rule is
 		// dormant, deriving nothing.
 		rep.Skips = append(rep.Skips, Skip{Rule: r.Name, Reason: fmt.Sprintf("base authorization a%d revoked", r.Base)})
-		return rep, nil
+		return rep, nil, nil
 	}
 	ops := r.Ops.withDefaults()
 
@@ -185,34 +220,34 @@ func (e *Engine) deriveLocked(r Rule) (Report, error) {
 	exitSet := ops.Exit.Apply(base.Exit, r.ValidFrom)
 	if entrySet.IsEmpty() {
 		rep.Skips = append(rep.Skips, Skip{Rule: r.Name, Reason: "entry operator produced no interval"})
-		return rep, nil
+		return rep, nil, nil
 	}
 	if exitSet.IsEmpty() {
 		rep.Skips = append(rep.Skips, Skip{Rule: r.Name, Reason: "exit operator produced no interval"})
-		return rep, nil
+		return rep, nil, nil
 	}
 	subjects, err := ops.Subject.Apply(base.Subject, e.profiles)
 	if err != nil {
-		return rep, fmt.Errorf("rules: rule %q: subject operator: %w", r.Name, err)
+		return rep, nil, fmt.Errorf("rules: rule %q: subject operator: %w", r.Name, err)
 	}
 	if len(subjects) == 0 {
 		rep.Skips = append(rep.Skips, Skip{Rule: r.Name, Reason: fmt.Sprintf("subject operator %s derived no subjects for %s", ops.Subject, base.Subject)})
-		return rep, nil
+		return rep, nil, nil
 	}
 	sortSubjects(subjects)
 	locations, err := ops.Location.Apply(base.Location, e.root)
 	if err != nil {
-		return rep, fmt.Errorf("rules: rule %q: location operator: %w", r.Name, err)
+		return rep, nil, fmt.Errorf("rules: rule %q: location operator: %w", r.Name, err)
 	}
 	if len(locations) == 0 {
 		rep.Skips = append(rep.Skips, Skip{Rule: r.Name, Reason: "location operator derived no locations"})
-		return rep, nil
+		return rep, nil, nil
 	}
 	sort.Slice(locations, func(i, j int) bool { return locations[i] < locations[j] })
 	n := ops.Entries.Apply(base.MaxEntries)
 
-	// Validate-or-skip first, then store the survivors as one batch, so
-	// readers see each shard's part of the rule's output whole.
+	// Validate-or-skip here; the caller stores the survivors as one
+	// batch, so readers see each shard's part of the rule's output whole.
 	var pending []authz.Authorization
 	for _, s := range subjects {
 		for _, l := range locations {
@@ -240,12 +275,7 @@ func (e *Engine) deriveLocked(r Rule) (Report, error) {
 			}
 		}
 	}
-	stored, err := e.store.AddAll(pending)
-	if err != nil {
-		return rep, fmt.Errorf("rules: rule %q: store: %w", r.Name, err)
-	}
-	rep.Derived = append(rep.Derived, stored...)
-	return rep, nil
+	return rep, pending, nil
 }
 
 // RevokeBase revokes the base authorization with the given ID and every

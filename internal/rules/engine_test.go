@@ -325,6 +325,56 @@ func TestDeriveIsIdempotent(t *testing.T) {
 	}
 }
 
+// TestRederiveUnchangedOutputKeepsStore: re-deriving a rule whose
+// output did not change leaves the store as it is (same IDs, same
+// version); a change that moves the output replaces it, and a rule
+// whose stored output was edited behind its back is re-derived whole.
+func TestRederiveUnchangedOutputKeepsStore(t *testing.T) {
+	eng, store, profiles, a1 := fixture(t, true)
+	rep, err := eng.AddRule(Rule{Name: "r1", ValidFrom: 7, Base: a1.ID, Ops: Ops{Subject: SupervisorOf{}}})
+	if err != nil || len(rep.Derived) != 1 {
+		t.Fatalf("add: %v, %v", rep, err)
+	}
+	derived := rep.Derived[0]
+	version := store.Version()
+
+	// An edit that does not touch the rule's output (AutoDerive runs).
+	if err := profiles.Put(profile.Subject{ID: "Bob", Name: "Robert"}); err != nil {
+		t.Fatal(err)
+	}
+	reps, err := eng.DeriveAll()
+	if err != nil || len(reps) != 1 || len(reps[0].Derived) != 1 || reps[0].Derived[0] != derived {
+		t.Fatalf("re-derive: %v, %v; want the stored %v", reps, err, derived)
+	}
+	if got := store.For("Bob", graph.CAIS); len(got) != 1 || got[0].ID != derived.ID {
+		t.Errorf("Bob's derived auth after an unrelated edit = %v, want ID %d", got, derived.ID)
+	}
+	if store.Version() != version {
+		t.Errorf("store version %d -> %d: an unchanged output was rewritten", version, store.Version())
+	}
+
+	// Revoking the derived authorization directly: the next derivation
+	// restores it under a fresh ID.
+	if err := store.Revoke(derived.ID); err != nil {
+		t.Fatal(err)
+	}
+	rep, err = eng.Derive("r1")
+	if err != nil || len(rep.Derived) != 1 || rep.Derived[0].ID == derived.ID || rep.Derived[0].Subject != "Bob" {
+		t.Fatalf("re-derive after revoke: %v, %v", rep, err)
+	}
+
+	// An edit that moves the output replaces it.
+	if err := profiles.Put(profile.Subject{ID: "Alice", Supervisor: "Alice"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := store.For("Bob", graph.CAIS); len(got) != 0 {
+		t.Errorf("Bob keeps %v after the supervisor moved", got)
+	}
+	if got := store.For("Alice", graph.CAIS); len(got) != 2 {
+		t.Errorf("Alice holds %v; want the base and the derived auth", got)
+	}
+}
+
 func TestRuleString(t *testing.T) {
 	r := Rule{Name: "r1", ValidFrom: 7, Base: 1, Ops: Ops{
 		Subject: SupervisorOf{}, Location: FixedLocation{graph.CAIS}, Entries: ConstEntries{2},

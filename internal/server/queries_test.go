@@ -1,8 +1,14 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -166,4 +172,49 @@ func TestInaccessiblePartitionsUnderGrants(t *testing.T) {
 		sizes[len(resp.Accessible)] = true
 	}
 	t.Logf("accessible-list sizes seen: %v", sizes)
+}
+
+// TestInaccessibleResponseBytes: the route writes exactly what
+// json.Encoder wrote for the response before it had its own codec, with
+// a Content-Length even past net/http's 2 KiB pre-chunking buffer, and
+// the client decodes it back.
+func TestInaccessibleResponseBytes(t *testing.T) {
+	sys, err := core.Open(core.Config{Graph: graph.NTUCampus()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	ts := httptest.NewServer(New(sys))
+	defer ts.Close()
+	for _, sub := range []profile.SubjectID{"Alice", "<b>&" + profile.SubjectID(strings.Repeat("é", 1500))} {
+		if _, err := sys.AddAuthorization(authz.New(iv("[1, 40]"), iv("[2, 60]"), sub, graph.SCEGO, authz.Unlimited)); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get(ts.URL + "/v1/queries/inaccessible?subject=" + url.QueryEscape(string(sub)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		inacc, acc := sys.Partition(sub)
+		var want bytes.Buffer
+		_ = json.NewEncoder(&want).Encode(wire.InaccessibleResponse{Subject: sub, Inaccessible: inacc, Accessible: acc})
+		if !bytes.Equal(body, want.Bytes()) {
+			t.Errorf("%.20s: body\n%q\nwant\n%q", sub, body, want.Bytes())
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%.20s: Content-Length %d, Transfer-Encoding %v for a %d-byte body",
+				sub, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("Content-Type = %q", ct)
+		}
+		got, err := wire.NewClient(ts.URL).Inaccessible(sub)
+		if err != nil || !slices.Equal(got.Inaccessible, inacc) || !slices.Equal(got.Accessible, acc) || got.Subject != sub {
+			t.Errorf("%.20s: client decoded %v, %v", sub, got, err)
+		}
+	}
 }

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -409,12 +410,28 @@ func (s *Server) inaccessible(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	inacc, acc := s.sys.Partition(subject)
-	writeJSON(w, http.StatusOK, wire.InaccessibleResponse{
+	bp := respBufs.Get().(*[]byte)
+	b := wire.AppendInaccessible((*bp)[:0], wire.InaccessibleResponse{
 		Subject:      subject,
 		Inaccessible: inacc,
 		Accessible:   acc,
 	})
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b)
+	if cap(b) <= maxPooledResp {
+		*bp = b
+		respBufs.Put(bp)
+	}
 }
+
+// respBufs holds the buffers Algorithm-1 responses are encoded into; a
+// buffer grown past maxPooledResp is left to the collector.
+var respBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledResp = 64 << 10
 
 func (s *Server) contacts(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()

@@ -194,44 +194,83 @@ func NewClient(base string) *Client {
 	return &Client{BaseURL: base, HTTP: http.DefaultClient}
 }
 
+// maxResponse bounds a response body the client will read.
+const maxResponse = 16 << 20
+
 func (c *Client) do(method, path string, in, out any) error {
+	data, err := c.send(method, path, in)
+	if err != nil || out == nil {
+		return err
+	}
+	if err := json.Unmarshal(data, out); err != nil {
+		return fmt.Errorf("wire: decode %s %s: %w", method, path, err)
+	}
+	return nil
+}
+
+// send issues one request and returns the body of a 2xx response; any
+// other status becomes an error carrying the server's message.
+func (c *Client) send(method, path string, in any) ([]byte, error) {
 	var body io.Reader
 	if in != nil {
 		data, err := json.Marshal(in)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		body = bytes.NewReader(data)
 	}
 	req, err := http.NewRequest(method, c.BaseURL+path, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	data, err := readBody(resp)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("wire: %s %s: %w", method, path, err)
 	}
 	if resp.StatusCode/100 != 2 {
 		var e Error
 		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			return fmt.Errorf("wire: %s %s: %s", method, path, e.Error)
+			return nil, fmt.Errorf("wire: %s %s: %s", method, path, e.Error)
 		}
-		return fmt.Errorf("wire: %s %s: HTTP %d", method, path, resp.StatusCode)
+		return nil, fmt.Errorf("wire: %s %s: HTTP %d", method, path, resp.StatusCode)
 	}
-	if out != nil {
-		if err := json.Unmarshal(data, out); err != nil {
-			return fmt.Errorf("wire: decode %s %s: %w", method, path, err)
+	return data, nil
+}
+
+// readBody reads a response body of at most maxResponse bytes into one
+// buffer sized from Content-Length when the server sent one. A longer
+// body is an error, not a silently cut one.
+func readBody(resp *http.Response) ([]byte, error) {
+	size := int64(512)
+	if n := resp.ContentLength; n >= 0 && n <= maxResponse {
+		size = n + 1 // room to read EOF without growing
+	}
+	buf := make([]byte, 0, size)
+	r := io.LimitReader(resp.Body, maxResponse+1)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if len(buf) > maxResponse {
+			return nil, fmt.Errorf("response exceeds %d MiB", maxResponse>>20)
+		}
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
-	return nil
 }
 
 // PutSubject upserts a profile.
@@ -339,9 +378,16 @@ func (c *Client) ObserveBatch(readings []Reading) ([]ObserveOutcome, error) {
 
 // Inaccessible runs the Algorithm-1 query.
 func (c *Client) Inaccessible(s profile.SubjectID) (InaccessibleResponse, error) {
-	var out InaccessibleResponse
-	err := c.do("GET", "/v1/queries/inaccessible?subject="+url.QueryEscape(string(s)), nil, &out)
-	return out, err
+	path := "/v1/queries/inaccessible?subject=" + url.QueryEscape(string(s))
+	data, err := c.send("GET", path, nil)
+	if err != nil {
+		return InaccessibleResponse{}, err
+	}
+	out, err := DecodeInaccessible(data)
+	if err != nil {
+		return out, fmt.Errorf("wire: decode GET %s: %w", path, err)
+	}
+	return out, nil
 }
 
 // Contacts runs the contact-tracing query.
