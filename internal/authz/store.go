@@ -541,10 +541,12 @@ func (st *Store) Len() int {
 // Snapshot returns all authorizations plus the next-ID watermark for
 // persistence.
 func (st *Store) Snapshot() ([]Authorization, ID) {
-	return st.All(), st.peekNextID()
+	return st.All(), st.NextID()
 }
 
-func (st *Store) peekNextID() ID {
+// NextID returns the ID watermark: the ID the next added authorization
+// gets, which Restore takes back.
+func (st *Store) NextID() ID {
 	return ID(st.lastID.Load() + 1)
 }
 

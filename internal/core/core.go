@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -180,7 +181,9 @@ type (
 	strategyPayload struct{ Strategy int }
 )
 
-// snapshotState is the persisted full state.
+// snapshotState is the persisted full state: what a snapshot file holds
+// and a follower bootstraps from (snapshot.go encodes it). The JSON tags
+// read snapshots written before the binary encoding.
 type snapshotState struct {
 	// Seq is the global sequence number of the first WAL record NOT
 	// covered by this snapshot — the cumulative count of records
@@ -202,6 +205,11 @@ type snapshotState struct {
 	// follower bootstrapped from this state can resolve raw readings
 	// after a promotion. Absent for systems without boundaries.
 	Boundaries []geometry.Boundary `json:"boundaries,omitempty"`
+	// AutoDerive is the writer's rule-derivation mode, which a follower
+	// must share; Semantics the replay version of the node that wrote the
+	// state (0 in a JSON snapshot). Both ride the binary header only.
+	AutoDerive bool   `json:"-"`
+	Semantics  uint64 `json:"-"`
 }
 
 // newBareSystem allocates the empty databases every System starts from.
@@ -233,9 +241,14 @@ func Open(cfg Config) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, ok, err := s.snaps.Latest(&snap); err != nil {
+		seq, data, ok, err := s.snaps.Latest()
+		if err != nil {
 			return nil, err
-		} else if ok {
+		}
+		if ok {
+			if snap, err = decodeSnapshotFile(data); err != nil {
+				return nil, fmt.Errorf("core: decode snapshot %d: %w", seq, err)
+			}
 			haveSnap = true
 		}
 	}
@@ -1197,7 +1210,7 @@ func (s *System) Snapshot() error {
 	if s.snaps == nil || s.wal == nil {
 		return errors.New("core: durability not enabled")
 	}
-	snap, err := s.snapshotStateLocked()
+	c, err := s.captureLocked()
 	if err != nil {
 		return err
 	}
@@ -1207,8 +1220,16 @@ func (s *System) Snapshot() error {
 	// SnapshotStore.Latest pick a stale snapshot. The cumulative base is
 	// also the global sequence the replication stream resumes from.
 	newBase := s.baseSeq.Load() + s.wal.Len()
-	snap.Seq = newBase
-	if err := s.snaps.Save(newBase, snap, 2); err != nil {
+	c.state.Seq = newBase
+	// The encoding stays under the lock: Truncate drops the whole log,
+	// so no record may be appended between the cut and the truncation.
+	data, err := c.encode()
+	if err != nil {
+		return err
+	}
+	// Save returns only once the snapshot is durable; until then the WAL
+	// is the only durable copy of what it covers.
+	if err := s.snaps.Save(newBase, data, 2); err != nil {
 		return err
 	}
 	if err := s.wal.Truncate(); err != nil {
@@ -1220,37 +1241,72 @@ func (s *System) Snapshot() error {
 	return nil
 }
 
-// snapshotStateLocked captures the full state as one consistent cut.
-// Callers hold the write lock. It drains the group committer first: the
-// captured state already contains every enqueued mutation, so any record
-// still in the queue must reach the WAL before the capture's sequence
-// number is read (and, for Snapshot, before Truncate). The write lock
-// keeps new records from being enqueued behind the flush.
-func (s *System) snapshotStateLocked() (snapshotState, error) {
+// Capture is one consistent cut of a node's state: what a snapshot file
+// holds and what a follower bootstraps from. The cut is taken under the
+// write lock; the work that grows with the state — materializing the
+// authorization view and encoding — runs after the lock is released,
+// in WriteTo.
+type Capture struct {
+	state snapshotState
+	auths *authz.View
+	root  *graph.Graph
+}
+
+// Seq is the global sequence number of the first record after the cut.
+func (c *Capture) Seq() uint64 { return c.state.Seq }
+
+// WriteTo writes the snapshot encoding of the cut to w.
+func (c *Capture) WriteTo(w io.Writer) (int64, error) {
+	data, err := c.encode()
+	if err != nil {
+		return 0, err
+	}
+	n, err := w.Write(data)
+	return int64(n), err
+}
+
+// encode returns the snapshot encoding of the cut.
+func (c *Capture) encode() ([]byte, error) {
+	st := c.state
+	st.Auths = c.auths.All()
+	st.Graph = graph.ToSpec(c.root)
+	return encodeSnapshot(&st)
+}
+
+// captureLocked cuts the full state. Callers hold the write lock and set
+// the cut's Seq. It drains the group committer first: the cut already
+// contains every enqueued mutation, so any record still in the queue
+// must reach the WAL before the cut's sequence number is read (and, for
+// Snapshot, before Truncate). The write lock keeps new records from
+// being enqueued behind the flush. The authorization view and the graph
+// are immutable; everything else is copied.
+func (s *System) captureLocked() (*Capture, error) {
 	if s.committer != nil {
 		if err := s.committer.Flush(); err != nil {
-			return snapshotState{}, err
+			return nil, err
 		}
 	}
-	auths, next := s.store.Snapshot()
-	snap := snapshotState{
-		Term:       s.term.Load(),
-		Graph:      graph.ToSpec(s.root),
-		Profiles:   s.profiles.Snapshot(),
-		Auths:      auths,
-		NextAuthID: next,
-		Events:     s.moves.Snapshot(),
-		Clock:      s.engine.Now(),
-		Boundaries: s.bounds,
+	c := &Capture{
+		state: snapshotState{
+			Term:       s.term.Load(),
+			Profiles:   s.profiles.Snapshot(),
+			NextAuthID: s.store.NextID(),
+			Events:     s.moves.Snapshot(),
+			Clock:      s.engine.Now(),
+			Boundaries: s.bounds,
+			AutoDerive: s.autoDerive,
+		},
+		auths: s.store.View(),
+		root:  s.root,
 	}
 	for _, r := range s.ruleEng.Rules() {
 		spec, ok := rules.SpecOf(r)
 		if !ok {
-			return snapshotState{}, fmt.Errorf("core: rule %q uses customized operators and cannot be persisted", r.Name)
+			return nil, fmt.Errorf("core: rule %q uses customized operators and cannot be persisted", r.Name)
 		}
-		snap.Rules = append(snap.Rules, spec)
+		c.state.Rules = append(c.state.Rules, spec)
 	}
-	return snap, nil
+	return c, nil
 }
 
 // --- Replication (primary side) ----------------------------------------
@@ -1290,31 +1346,24 @@ func (s *System) ReplicationInfo() ReplicationInfo {
 // what a same-host follower or the replication stream endpoint tails.
 func (s *System) WALPath() string { return s.walPath }
 
-// CaptureBootstrap captures the full state a follower needs to start
-// replicating: the marshaled snapshot state, the global sequence number
-// the follower should tail from, and the primary's derivation mode
-// (derived authorizations are not logged, so the follower must re-derive
-// them exactly like the primary). The capture flushes the group
-// committer, so every acknowledged mutation is either inside the state
-// or after seq in the WAL — never both, never neither.
-func (s *System) CaptureBootstrap() (seq uint64, autoDerive bool, state json.RawMessage, err error) {
+// CaptureBootstrap cuts the full state a follower needs to start
+// replicating, stamped with the global sequence number the follower
+// tails from; the caller encodes it with WriteTo, off the write lock.
+// The cut flushes the group committer, so every acknowledged mutation is
+// either inside the state or after its Seq in the WAL — never both,
+// never neither.
+func (s *System) CaptureBootstrap() (*Capture, error) {
 	if s.wal == nil {
-		return 0, false, nil, errors.New("core: replication requires durability (set Config.DataDir)")
+		return nil, errors.New("core: replication requires durability (set Config.DataDir)")
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap, err := s.snapshotStateLocked()
+	c, err := s.captureLocked()
 	if err != nil {
-		return 0, false, nil, err
+		return nil, err
 	}
-	// The captured state includes every applied mutation, and the flush
-	// above made every one of them durable, so the durable length counts
-	// them all.
-	seq = s.baseSeq.Load() + s.wal.DurableLen()
-	snap.Seq = seq
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return 0, false, nil, err
-	}
-	return seq, s.autoDerive, data, nil
+	// The cut includes every applied mutation, and the flush above made
+	// every one of them durable, so the durable length counts them all.
+	c.state.Seq = s.baseSeq.Load() + s.wal.DurableLen()
+	return c, nil
 }

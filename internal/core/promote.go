@@ -80,8 +80,7 @@ func (s *System) promote(dataDir string, term, seq uint64) error {
 	if err != nil {
 		return err
 	}
-	var old snapshotState
-	if _, ok, err := snaps.Latest(&old); err != nil {
+	if _, _, ok, err := snaps.Latest(); err != nil {
 		return err
 	} else if ok {
 		return fmt.Errorf("core: promote: %s already holds snapshots — promotion starts a new lineage and needs an empty data directory", dataDir)
@@ -90,13 +89,18 @@ func (s *System) promote(dataDir string, term, seq uint64) error {
 	if fi, err := os.Stat(walPath); err == nil && fi.Size() > 0 {
 		return fmt.Errorf("core: promote: %s already holds a WAL — promotion starts a new lineage and needs an empty data directory", dataDir)
 	}
-	snap, err := s.snapshotStateLocked() // committer is nil on a follower: a pure state capture
+	c, err := s.captureLocked() // committer is nil on a follower: a pure state capture
 	if err != nil {
 		return err
 	}
-	snap.Seq = seq
-	snap.Term = term
-	if err := snaps.Save(seq, snap, 2); err != nil {
+	c.state.Seq = seq
+	c.state.Term = term
+	data, err := c.encode()
+	if err != nil {
+		return err
+	}
+	// The WAL opens only once the snapshot it starts from is durable.
+	if err := snaps.Save(seq, data, 2); err != nil {
 		return err
 	}
 	s.baseSeq.Store(seq)

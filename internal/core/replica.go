@@ -15,14 +15,14 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,20 +52,24 @@ var ErrBootstrapRequired = errors.New("core: replica fell behind a WAL compactio
 // toward the highest-term primary.
 var ErrStaleTerm = errors.New("core: replication stream from a stale primary (lower promotion term)")
 
-// ErrBootstrapMismatch reports a re-bootstrap whose state is not a later
+// ErrBootstrapMismatch reports a bootstrap this follower must not
+// apply: state of another replay semantics or snapshot format (a node
+// running a different version), or a re-bootstrap that is not a later
 // point of the same primary's history — a different site graph or a
-// different rule-derivation mode. Applying it in place would splice two
-// unrelated histories, so the error is terminal: rebuild the follower.
+// different rule-derivation mode. Applying it would splice two unrelated
+// histories, so the error is terminal: rebuild the follower or upgrade
+// the nodes to one version.
 var ErrBootstrapMismatch = errors.New("core: bootstrap state does not match this replica's site")
 
 // ReplicaSource is where a follower pulls its state and stream from. The
 // wire package adapts the HTTP client to it; LogSource adapts a
 // same-process primary or cascading follower (tests, tools).
 type ReplicaSource interface {
-	// Bootstrap returns the primary's full state (the marshaled snapshot
-	// a replica System is built from), the global sequence number the
-	// follower should tail from, and the primary's rule-derivation mode.
-	Bootstrap() (seq uint64, autoDerive bool, state json.RawMessage, err error)
+	// Bootstrap returns the primary's full state as a stream of the
+	// snapshot encoding (snapshot.go), whose header carries the global
+	// sequence number the follower should tail from and the primary's
+	// rule-derivation mode. The caller reads it to the end and closes it.
+	Bootstrap() (io.ReadCloser, error)
 	// Tail streams records with global sequence numbers >= from, in
 	// order, calling apply for each. It returns nil on a benign stream
 	// end (the follower reconnects and resumes from its applied
@@ -140,17 +144,17 @@ type Replica struct {
 // state, builds a read-only System from it, and positions the applied
 // sequence at the bootstrap point. Call Run to start tailing.
 func NewReplica(src ReplicaSource) (*Replica, error) {
-	seq, autoDerive, state, err := src.Bootstrap()
+	snap, err := fetchBootstrap(src)
 	if err != nil {
 		return nil, fmt.Errorf("core: replica bootstrap: %w", err)
 	}
-	sys, err := openReplicaSystem(state, autoDerive)
+	sys, err := openReplicaSystem(snap)
 	if err != nil {
 		return nil, err
 	}
 	r := &Replica{sys: sys, src: src, notify: make(chan struct{}, 1)}
-	r.appliedSeq.Store(seq)
-	r.primarySeq.Store(seq)
+	r.appliedSeq.Store(snap.Seq)
+	r.primarySeq.Store(snap.Seq)
 	r.bootstraps.Store(1)
 	r.termHigh.Store(sys.Term())
 	r.markFresh()
@@ -181,14 +185,36 @@ func (r *Replica) observePrimary(ctx context.Context) {
 	}
 }
 
-// openReplicaSystem builds the follower System from a marshaled
-// bootstrap state: same restore path as crash recovery, but with no
-// DataDir (the primary's WAL is the only log) and the read-only gate on.
-func openReplicaSystem(state json.RawMessage, autoDerive bool) (*System, error) {
-	var snap snapshotState
-	if err := json.Unmarshal(state, &snap); err != nil {
-		return nil, fmt.Errorf("core: decode bootstrap state: %w", err)
+// fetchBootstrap pulls and decodes the source's bootstrap state. A state
+// this node cannot apply as its own history — another snapshot format or
+// replay semantics — is ErrBootstrapMismatch.
+func fetchBootstrap(src ReplicaSource) (snapshotState, error) {
+	rc, err := src.Bootstrap()
+	if err != nil {
+		return snapshotState{}, err
 	}
+	defer rc.Close()
+	// The state is read whole, so memory grows with the bytes received.
+	data, err := io.ReadAll(rc)
+	if err != nil {
+		return snapshotState{}, fmt.Errorf("core: read bootstrap state: %w", err)
+	}
+	snap, err := decodeSnapshot(data)
+	switch {
+	case errors.Is(err, errSnapshotFormat):
+		return snap, fmt.Errorf("%w: %w", ErrBootstrapMismatch, err)
+	case err != nil:
+		return snap, fmt.Errorf("core: decode bootstrap state: %w", err)
+	case snap.Semantics != snapSemantics:
+		return snap, fmt.Errorf("%w: primary runs state semantics v%d, this node v%d", ErrBootstrapMismatch, snap.Semantics, snapSemantics)
+	}
+	return snap, nil
+}
+
+// openReplicaSystem builds the follower System from a decoded bootstrap
+// state: same restore path as crash recovery, but with no DataDir (the
+// primary's WAL is the only log) and the read-only gate on.
+func openReplicaSystem(snap snapshotState) (*System, error) {
 	s := newBareSystem()
 	s.readOnly.Store(true)
 	s.term.Store(1)
@@ -204,7 +230,7 @@ func openReplicaSystem(state json.RawMessage, autoDerive bool) (*System, error) 
 	}
 	s.root = g
 	s.flat = graph.Expand(g)
-	if err := s.initEngines(autoDerive); err != nil {
+	if err := s.initEngines(snap.AutoDerive); err != nil {
 		return nil, err
 	}
 	if err := s.restoreSnapshot(snap); err != nil {
@@ -324,23 +350,17 @@ func (r *Replica) RelayInfo() (base, total uint64, ok bool) {
 // state and tails the relay from seq applies every record exactly once.
 // The follower-side twin of System.CaptureBootstrap (which requires a
 // WAL and therefore refuses to run on a replica).
-func (r *Replica) CaptureBootstrap() (seq uint64, autoDerive bool, state json.RawMessage, err error) {
+func (r *Replica) CaptureBootstrap() (*Capture, error) {
 	r.applyMu.Lock()
 	defer r.applyMu.Unlock()
-	s := r.sys
-	s.mu.Lock()
-	snap, serr := s.snapshotStateLocked()
-	s.mu.Unlock()
-	if serr != nil {
-		return 0, false, nil, serr
+	r.sys.mu.Lock()
+	c, err := r.sys.captureLocked()
+	r.sys.mu.Unlock()
+	if err != nil {
+		return nil, err
 	}
-	seq = r.appliedSeq.Load()
-	snap.Seq = seq
-	data, merr := json.Marshal(snap)
-	if merr != nil {
-		return 0, false, nil, merr
-	}
-	return seq, s.autoDerive, data, nil
+	c.state.Seq = r.appliedSeq.Load()
+	return c, nil
 }
 
 // ApplyTermRecord is ApplyRecord with the fencing check: a record
@@ -600,31 +620,28 @@ func (r *Replica) Run(ctx context.Context, cfg ...RunConfig) error {
 // from the same site (graph and derivation mode); anything else returns
 // ErrBootstrapMismatch.
 func (r *Replica) Rebootstrap() error {
-	seq, autoDerive, state, err := r.src.Bootstrap()
+	snap, err := fetchBootstrap(r.src)
 	if err != nil {
 		return fmt.Errorf("core: replica re-bootstrap: %w", err)
 	}
-	if autoDerive != r.sys.autoDerive {
-		return fmt.Errorf("%w: derivation mode changed (primary autoDerive=%v)", ErrBootstrapMismatch, autoDerive)
+	if snap.AutoDerive != r.sys.autoDerive {
+		return fmt.Errorf("%w: derivation mode changed (primary autoDerive=%v)", ErrBootstrapMismatch, snap.AutoDerive)
 	}
 	// Fencing covers bootstraps too: restoring a stale primary's state
 	// would rewind the follower past history a higher-term primary has
 	// already extended.
-	var probe struct {
-		Term uint64 `json:"term"`
+	if high := r.termHigh.Load(); snap.Term > 0 && snap.Term < high {
+		return fmt.Errorf("%w: bootstrap term %d < highest seen %d", ErrStaleTerm, snap.Term, high)
 	}
-	_ = json.Unmarshal(state, &probe)
-	if high := r.termHigh.Load(); probe.Term > 0 && probe.Term < high {
-		return fmt.Errorf("%w: bootstrap term %d < highest seen %d", ErrStaleTerm, probe.Term, high)
-	}
+	seq := snap.Seq
 	r.applyMu.Lock()
-	if err := r.sys.rebootstrap(state); err != nil {
+	if err := r.sys.rebootstrap(snap); err != nil {
 		r.applyMu.Unlock()
 		return err
 	}
-	if probe.Term > 0 {
-		storeMax(&r.termHigh, probe.Term)
-		storeMax(&r.sys.term, probe.Term)
+	if snap.Term > 0 {
+		storeMax(&r.termHigh, snap.Term)
+		storeMax(&r.sys.term, snap.Term)
 	}
 	r.appliedSeq.Store(seq)
 	if r.relay != nil {
@@ -642,31 +659,21 @@ func (r *Replica) Rebootstrap() error {
 	return nil
 }
 
-// rebootstrap replaces a follower System's state with a marshaled
+// rebootstrap replaces a follower System's state with a decoded
 // bootstrap snapshot, in place: profiles, authorizations, rules,
 // movements and the clock are restored wholesale under the write lock
 // and a fresh view is published, exactly like crash recovery — but into
 // a System that concurrent readers keep querying throughout.
-func (s *System) rebootstrap(state json.RawMessage) error {
-	var snap snapshotState
-	if err := json.Unmarshal(state, &snap); err != nil {
-		return fmt.Errorf("core: decode re-bootstrap state: %w", err)
+func (s *System) rebootstrap(snap snapshotState) error {
+	// The graph is immutable after Open and every engine is wired over
+	// it: a bootstrap with a different site cannot be applied in place.
+	// Both specs are compared as ToSpec renders a built graph.
+	next, err := graph.FromSpec(snap.Graph)
+	if err != nil || !reflect.DeepEqual(graph.ToSpec(s.root), graph.ToSpec(next)) {
+		return fmt.Errorf("%w: site graph changed", ErrBootstrapMismatch)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// The graph is immutable after Open and every engine is wired over
-	// it: a bootstrap with a different site cannot be applied in place.
-	cur, err := json.Marshal(graph.ToSpec(s.root))
-	if err != nil {
-		return err
-	}
-	next, err := json.Marshal(snap.Graph)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(cur, next) {
-		return fmt.Errorf("%w: site graph changed", ErrBootstrapMismatch)
-	}
 	// Restore replaces every database wholesale (each bumps its version,
 	// so the epoch moves and no memoized answer survives); rules are
 	// reset first because the restored store already holds their derived

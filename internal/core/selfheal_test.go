@@ -2,8 +2,8 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
+	"io"
 	"sync"
 	"testing"
 	"time"
@@ -125,9 +125,9 @@ type gateSource struct {
 	gate  chan struct{} // non-nil while partitioned; closed to reopen
 }
 
-func (g *gateSource) Bootstrap() (uint64, bool, json.RawMessage, error) { return g.inner.Bootstrap() }
-func (g *gateSource) PrimarySeq(ctx context.Context) (uint64, error)    { return g.inner.PrimarySeq(ctx) }
-func (g *gateSource) SourceTerm() uint64                                { return g.inner.SourceTerm() }
+func (g *gateSource) Bootstrap() (io.ReadCloser, error)              { return g.inner.Bootstrap() }
+func (g *gateSource) PrimarySeq(ctx context.Context) (uint64, error) { return g.inner.PrimarySeq(ctx) }
+func (g *gateSource) SourceTerm() uint64                             { return g.inner.SourceTerm() }
 func (g *gateSource) Tail(ctx context.Context, from uint64, apply func(storage.Record) error) error {
 	g.mu.Lock()
 	gate := g.gate

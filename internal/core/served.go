@@ -6,9 +6,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -185,7 +186,7 @@ func (m *logMoved) fire() {
 // LogNode is a node a same-process follower can replicate from: a
 // durable primary (*System) or a cascading follower (*Replica).
 type LogNode interface {
-	CaptureBootstrap() (seq uint64, autoDerive bool, state json.RawMessage, err error)
+	CaptureBootstrap() (*Capture, error)
 	ServedLog() (ServedLog, error)
 }
 
@@ -198,9 +199,17 @@ type LogSource struct {
 	term atomic.Uint64
 }
 
-// Bootstrap captures the node's live state.
-func (l *LogSource) Bootstrap() (uint64, bool, json.RawMessage, error) {
-	return l.Node.CaptureBootstrap()
+// Bootstrap captures the node's live state and encodes it.
+func (l *LogSource) Bootstrap() (io.ReadCloser, error) {
+	c, err := l.Node.CaptureBootstrap()
+	if err != nil {
+		return nil, err
+	}
+	data, err := c.encode()
+	if err != nil {
+		return nil, err
+	}
+	return io.NopCloser(bytes.NewReader(data)), nil
 }
 
 // SourceTerm reports the term of the most recently opened Tail stream.

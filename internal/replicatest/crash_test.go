@@ -3,8 +3,8 @@ package replicatest
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
+	"io"
 	"testing"
 	"time"
 
@@ -18,18 +18,33 @@ import (
 // genesisSource replays a bootstrap captured earlier, so a test can
 // build many identical followers positioned at the same past sequence.
 type genesisSource struct {
-	seq        uint64
-	autoDerive bool
-	state      json.RawMessage
+	seq   uint64
+	state []byte
 }
 
-func (g *genesisSource) Bootstrap() (uint64, bool, json.RawMessage, error) {
-	return g.seq, g.autoDerive, g.state, nil
+func (g *genesisSource) Bootstrap() (io.ReadCloser, error) {
+	return io.NopCloser(bytes.NewReader(g.state)), nil
 }
 func (g *genesisSource) PrimarySeq(context.Context) (uint64, error) { return g.seq, nil }
 func (g *genesisSource) SourceTerm() uint64                         { return 0 }
 func (g *genesisSource) Tail(ctx context.Context, from uint64, apply func(storage.Record) error) error {
 	return errors.New("genesisSource does not stream")
+}
+
+// CaptureState returns node's bootstrap state as it is now, encoded —
+// what a source replays to build followers positioned at this cut — and
+// the sequence number the cut ends at.
+func CaptureState(tb testing.TB, node core.LogNode) (uint64, []byte) {
+	tb.Helper()
+	c, err := node.CaptureBootstrap()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := c.WriteTo(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return c.Seq(), buf.Bytes()
 }
 
 // TestReplicaCrashResumeEveryFrameBoundary kills the follower's tailer
@@ -43,11 +58,8 @@ func TestReplicaCrashResumeEveryFrameBoundary(t *testing.T) {
 
 	// Capture genesis BEFORE the history, so every fenced follower
 	// starts from sequence 0 of the scripted records.
-	seq0, autoDerive, state, err := h.Primary.CaptureBootstrap()
-	if err != nil {
-		t.Fatal(err)
-	}
-	genesis := &genesisSource{seq: seq0, autoDerive: autoDerive, state: state}
+	seq0, state := CaptureState(t, h.Primary)
+	genesis := &genesisSource{seq: seq0, state: state}
 
 	subs := []profile.SubjectID{"a", "b"}
 	rooms := h.Primary.Flat().Nodes

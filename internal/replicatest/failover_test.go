@@ -26,11 +26,8 @@ func TestPromoteAtEveryRecordBoundary(t *testing.T) {
 
 	// Genesis BEFORE the history, so every promoted follower replays the
 	// scripted records from sequence 0.
-	seq0, autoDerive, state, err := h.Primary.CaptureBootstrap()
-	if err != nil {
-		t.Fatal(err)
-	}
-	genesis := &genesisSource{seq: seq0, autoDerive: autoDerive, state: state}
+	seq0, state := CaptureState(t, h.Primary)
+	genesis := &genesisSource{seq: seq0, state: state}
 
 	subs := []profile.SubjectID{"a", "b"}
 	rooms := h.Primary.Flat().Nodes

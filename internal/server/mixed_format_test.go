@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -15,8 +17,10 @@ import (
 	"repro/internal/geometry"
 	"repro/internal/graph"
 	"repro/internal/interval"
+	"repro/internal/movement"
 	"repro/internal/profile"
 	"repro/internal/replicatest"
+	"repro/internal/rules"
 	"repro/internal/storage"
 	"repro/internal/stream"
 	"repro/internal/wire"
@@ -30,24 +34,41 @@ type legacyMove struct {
 	L graph.ID
 }
 
+// legacySnapshot is the JSON document a snapshot file held before the
+// binary snapshot encoding.
+type legacySnapshot struct {
+	Seq        uint64                `json:"seq"`
+	Term       uint64                `json:"term,omitempty"`
+	Graph      graph.Spec            `json:"graph"`
+	Profiles   []profile.Subject     `json:"profiles"`
+	Auths      []authz.Authorization `json:"auths"`
+	NextAuthID authz.ID              `json:"next_auth_id"`
+	Rules      []rules.Spec          `json:"rules"`
+	Events     []movement.Event      `json:"events"`
+	Clock      interval.Time         `json:"clock"`
+	Boundaries []geometry.Boundary   `json:"boundaries,omitempty"`
+}
+
 // genesisOver is a replica source that bootstraps from a state captured
-// at sequence 0 and tails the wrapped source, so a follower replays the
-// whole log instead of starting from the node's current state.
+// earlier and tails the wrapped source, so a follower replays the log
+// from that cut instead of starting from the node's current state.
 type genesisOver struct {
 	core.ReplicaSource
-	autoDerive bool
-	state      json.RawMessage
+	state []byte
 }
 
-func (g *genesisOver) Bootstrap() (uint64, bool, json.RawMessage, error) {
-	return 0, g.autoDerive, g.state, nil
+func (g *genesisOver) Bootstrap() (io.ReadCloser, error) {
+	return io.NopCloser(bytes.NewReader(g.state)), nil
 }
 
-// TestMixedFormatLogReplays: a WAL whose movement records switch from
-// the old JSON encoding to the binary body partway through replays to
-// the same state, and feeds the same events, through every reader of a
-// log — recovery (core.Open), a same-process follower (core.LogSource),
-// an HTTP follower (wire.ReplicationSource) and a bus subscriber.
+// TestMixedFormatLogReplays: a data directory written by earlier
+// versions — a JSON snapshot under a WAL whose movement records switch
+// from the old JSON encoding to the binary body partway through —
+// replays to the same state, and feeds the same events, through every
+// reader of a log: recovery (core.Open), a same-process follower
+// (core.LogSource), an HTTP follower (wire.ReplicationSource) and a bus
+// subscriber. The next snapshot is binary, and the JSON one stays part
+// of the same numbered sequence until it is pruned.
 func TestMixedFormatLogReplays(t *testing.T) {
 	g, bounds, centers := replicatest.GridSite(t, 3)
 	dir := t.TempDir()
@@ -59,10 +80,6 @@ func TestMixedFormatLogReplays(t *testing.T) {
 		return sys
 	}
 	sys := open()
-	_, autoDerive, genesis, err := sys.CaptureBootstrap()
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	subs := []profile.SubjectID{"a", "b"}
 	rooms := sys.Flat().Nodes
@@ -72,10 +89,31 @@ func TestMixedFormatLogReplays(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	outside := geometry.Point{X: -50, Y: -50}
 	if _, err := sys.ObserveBatch([]core.Reading{
 		{Time: 2, Subject: "a", At: centers[0]},
 		{Time: 3, Subject: "b", At: centers[0]},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Compact the grants and the first moves into a snapshot, and put in
+	// its place the JSON document earlier versions wrote.
+	if err := sys.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := sys.CaptureBootstrap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := c.Seq()
+	var genesis bytes.Buffer
+	if _, err := c.WriteTo(&genesis); err != nil {
+		t.Fatal(err)
+	}
+	snapDir := filepath.Join(dir, "snapshots")
+	writeLegacySnapshot(t, sys, bounds, snapDir, base)
+
+	outside := geometry.Point{X: -50, Y: -50}
+	if _, err := sys.ObserveBatch([]core.Reading{
 		{Time: 4, Subject: "a", At: centers[1]},
 		{Time: 5, Subject: "b", At: centers[3]},
 		{Time: 6, Subject: "a", At: outside},
@@ -97,7 +135,7 @@ func TestMixedFormatLogReplays(t *testing.T) {
 	const at = interval.Time(11)
 	total := sys.ReplicationInfo().TotalSeq
 	want := stateOf(sys, subs, rooms, at)
-	wantEvents := feedOf(t, sys, total)
+	wantEvents := feedOf(t, sys, base, total)
 	walPath := sys.WALPath()
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
@@ -117,7 +155,7 @@ func TestMixedFormatLogReplays(t *testing.T) {
 		t.Fatalf("recovered %d records, want %d", got, total)
 	}
 	// The feed first: stateOf's requests advance the node's clock.
-	events := feedOf(t, rec, total)
+	events := feedOf(t, rec, base, total)
 	for i := range wantEvents {
 		if !bytes.Equal(events[i], wantEvents[i]) {
 			t.Fatalf("event %d differs:\n got: %s\nwant: %s", i, events[i], wantEvents[i])
@@ -126,7 +164,7 @@ func TestMixedFormatLogReplays(t *testing.T) {
 
 	follow := func(name string, src core.ReplicaSource) {
 		t.Helper()
-		rep, err := core.NewReplica(&genesisOver{ReplicaSource: src, autoDerive: autoDerive, state: genesis})
+		rep, err := core.NewReplica(&genesisOver{ReplicaSource: src, state: genesis.Bytes()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,6 +190,59 @@ func TestMixedFormatLogReplays(t *testing.T) {
 	defer ts.Close()
 	follow("HTTP follower", wire.NewClient(ts.URL).ReplicationSource())
 	check("recovery", rec)
+
+	// The next snapshot is binary and sorts after the JSON one; a
+	// restart reads it.
+	if err := rec.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshotFiles(t, snapDir); len(got) != 2 || got[0] != fmt.Sprintf("snap-%016d.json", base) || got[1] != fmt.Sprintf("snap-%016d.bin", total) {
+		t.Fatalf("snapshot files %q: want the JSON one at %d and a binary one at %d", got, base, total)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again := open()
+	defer again.Close()
+	check("restart from the binary snapshot", again)
+}
+
+// writeLegacySnapshot replaces sys's snapshot at seq with the JSON
+// document earlier versions wrote for the same state.
+func writeLegacySnapshot(t *testing.T, sys *core.System, bounds []geometry.Boundary, dir string, seq uint64) {
+	t.Helper()
+	auths, next := sys.AuthStore().Snapshot()
+	data, err := json.Marshal(legacySnapshot{
+		Seq: seq, Term: sys.Term(), Graph: graph.ToSpec(sys.Graph()),
+		Profiles: sys.Profiles().Snapshot(), Auths: auths, NextAuthID: next,
+		Events: sys.Movements().Snapshot(), Clock: sys.Clock(), Boundaries: bounds,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshotFiles(t, dir); len(got) != 1 || got[0] != fmt.Sprintf("snap-%016d.bin", seq) {
+		t.Fatalf("snapshot files %q: want one binary snapshot at %d", got, seq)
+	}
+	if err := os.Remove(filepath.Join(dir, fmt.Sprintf("snap-%016d.bin", seq))); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("snap-%016d.json", seq)), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// snapshotFiles lists the snapshot directory's file names in order.
+func snapshotFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	return names
 }
 
 // stateOf renders what a node answers about subs: the replication
@@ -168,9 +259,9 @@ func stateOf(sys *core.System, subs []profile.SubjectID, rooms []graph.ID, at in
 	return append(replicatest.CachedAnswers(sys, subs, rooms, at), h...)
 }
 
-// feedOf subscribes to sys's committed-event feed from sequence 0 and
-// returns the JSON rendering of its first n record events.
-func feedOf(t *testing.T, sys *core.System, n uint64) [][]byte {
+// feedOf subscribes to sys's committed-event feed from sequence from and
+// returns the JSON rendering of its record events before sequence to.
+func feedOf(t *testing.T, sys *core.System, from, to uint64) [][]byte {
 	t.Helper()
 	lg, err := sys.ServedLog()
 	if err != nil {
@@ -178,7 +269,7 @@ func feedOf(t *testing.T, sys *core.System, n uint64) [][]byte {
 	}
 	bus := stream.NewBus(lg)
 	defer bus.Close()
-	sub, err := bus.Subscribe(stream.SubscribeOptions{From: 0})
+	sub, err := bus.Subscribe(stream.SubscribeOptions{From: from})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +278,7 @@ func feedOf(t *testing.T, sys *core.System, n uint64) [][]byte {
 	timer := time.AfterFunc(10*time.Second, func() { close(timeout) })
 	defer timer.Stop()
 	var out [][]byte
-	for uint64(len(out)) < n {
+	for n := to - from; uint64(len(out)) < n; {
 		ev, err := sub.Next(timeout)
 		if err != nil {
 			t.Fatalf("feed ended after %d of %d events: %v", len(out), n, err)

@@ -23,7 +23,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -86,25 +85,21 @@ func (s *Server) replicationSnapshot(w http.ResponseWriter, r *http.Request) {
 	// Replica.CaptureBootstrap — the applied state cut consistently with
 	// the relay frontier; anywhere else it is the primary's.
 	capture := s.sys.CaptureBootstrap
-	term := s.sys.Term
 	if s.isFollower() {
 		if _, _, ok := s.rep.RelayInfo(); !ok {
 			writeErr(w, http.StatusBadRequest, errRelayUnarmed)
 			return
 		}
 		capture = s.rep.CaptureBootstrap
-		term = s.rep.Term
 	}
 	type captured struct {
-		seq        uint64
-		autoDerive bool
-		state      json.RawMessage
-		err        error
+		c   *core.Capture
+		err error
 	}
 	ch := make(chan captured, 1)
 	go func() {
-		seq, autoDerive, state, err := capture()
-		ch <- captured{seq, autoDerive, state, err}
+		c, err := capture()
+		ch <- captured{c, err}
 	}()
 	bound := s.captureBound()
 	select {
@@ -113,10 +108,12 @@ func (s *Server) replicationSnapshot(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, statusFor(c.err), c.err)
 			return
 		}
+		// Encoded here, off the node's lock, straight into the body. A
+		// failed write cuts the body short, and the follower's decode
+		// fails on it.
 		s.roleHeaders(w)
-		writeJSON(w, http.StatusOK, wire.BootstrapResponse{
-			Seq: c.seq, AutoDerive: c.autoDerive, State: c.state, Term: term(),
-		})
+		w.Header().Set("Content-Type", "application/octet-stream")
+		_, _ = c.c.WriteTo(w)
 	case <-time.After(bound):
 		writeErr(w, http.StatusServiceUnavailable,
 			fmt.Errorf("bootstrap capture exceeded %s (node busy): retry", bound))

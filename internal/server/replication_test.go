@@ -3,7 +3,9 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +15,8 @@ import (
 	"repro/internal/graph"
 	"repro/internal/interval"
 	"repro/internal/profile"
+	"repro/internal/replicatest"
+	"repro/internal/rules"
 	"repro/internal/storage"
 	"repro/internal/wire"
 )
@@ -184,10 +188,54 @@ func TestReplicationRequiresDurability(t *testing.T) {
 	ts := httptest.NewServer(New(sys))
 	defer ts.Close()
 	client := wire.NewClient(ts.URL)
-	if _, _, _, err := client.ReplicationSource().Bootstrap(); err == nil {
+	if _, err := client.ReplicationSource().Bootstrap(); err == nil {
 		t.Fatal("Bootstrap on non-durable primary succeeded")
 	}
 	if _, err := client.ReplicationStatus(); err == nil {
 		t.Fatal("ReplicationStatus on non-durable primary succeeded")
+	}
+}
+
+// TestBootstrapLargePrimary: a follower bootstraps over HTTP from a
+// primary holding 200k authorizations. Their state is larger than the
+// client's 16 MiB response bound would have allowed in JSON, so the
+// bootstrap is streamed and decoded as it arrives.
+func TestBootstrapLargePrimary(t *testing.T) {
+	g, _, _ := replicatest.GridSite(t, 16)
+	sys, err := core.Open(core.Config{Graph: g, DataDir: t.TempDir(), RelaxedDurability: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	const subjects = 782 // × 256 rooms = 200,192 derived authorizations
+	for i := range subjects {
+		if err := sys.PutSubject(profile.Subject{ID: profile.SubjectID(fmt.Sprintf("s%04d", i)), Groups: []string{"staff"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base, err := sys.AddAuthorization(authz.New(interval.From(1), interval.From(1), "s0000", "r000_000", authz.Unlimited))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.AddRule(rules.Spec{Name: "staff-all", Base: base.ID, Subject: "Members_Of(staff)", Location: "all_in(grid)"}); err != nil {
+		t.Fatal(err)
+	}
+	want := sys.Authorizations()
+	if len(want) < 200_000 {
+		t.Fatalf("primary holds %d authorizations, want >= 200,000", len(want))
+	}
+	ts := httptest.NewServer(New(sys))
+	defer ts.Close()
+
+	rep, err := core.NewReplica(wire.NewClient(ts.URL).ReplicationSource())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	if got := rep.System().Authorizations(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("follower holds %d authorizations, primary %d, or they differ", len(got), len(want))
+	}
+	if got, want := rep.AppliedSeq(), sys.ReplicationInfo().TotalSeq; got != want {
+		t.Fatalf("follower positioned at %d, primary at %d", got, want)
 	}
 }

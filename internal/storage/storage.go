@@ -343,10 +343,16 @@ func (w *WAL) Truncate() error {
 
 // --- Snapshots -------------------------------------------------------
 
-// SnapshotStore manages numbered snapshot files snap-%016d.json in a
-// directory, atomically written via rename.
+// SnapshotStore manages numbered snapshot files in a directory. It moves
+// bytes only: the caller encodes and decodes the state. A snapshot is
+// snap-%016d.bin, its payload followed by a little-endian CRC32 (IEEE)
+// of it; snap-%016d.json, a bare JSON document written before the
+// binary format, is only read. Both suffixes number one sequence.
 type SnapshotStore struct {
 	dir string
+	// Wrap, when non-nil, wraps every snapshot file Save writes before
+	// any I/O — the fault-injection seam (see internal/fault).
+	Wrap func(File) File
 }
 
 // NewSnapshotStore creates the directory if needed.
@@ -357,71 +363,123 @@ func NewSnapshotStore(dir string) (*SnapshotStore, error) {
 	return &SnapshotStore{dir: dir}, nil
 }
 
-// Save writes v as snapshot number seq atomically and prunes older
-// snapshots, keeping the newest `keep`.
-func (s *SnapshotStore) Save(seq uint64, v any, keep int) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("storage: encode snapshot: %w", err)
-	}
+// Save writes data as snapshot number seq and prunes older snapshots,
+// keeping the newest keep. It returns nil only once the snapshot is
+// durable — written and fsynced under a temporary name, renamed into
+// place, the directory fsynced — so the caller may then discard what the
+// snapshot covers (truncate the WAL). On error nothing is renamed.
+func (s *SnapshotStore) Save(seq uint64, data []byte, keep int) error {
 	tmp := filepath.Join(s.dir, "snap.tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := s.writeSynced(tmp, data); err != nil {
+		_ = os.Remove(tmp)
+		return fmt.Errorf("storage: write snapshot %d: %w", seq, err)
+	}
+	if err := os.Rename(tmp, filepath.Join(s.dir, fmt.Sprintf("snap-%016d.bin", seq))); err != nil {
 		return err
 	}
-	final := filepath.Join(s.dir, fmt.Sprintf("snap-%016d.json", seq))
-	if err := os.Rename(tmp, final); err != nil {
-		return err
+	if err := syncDir(s.dir); err != nil {
+		return fmt.Errorf("storage: sync snapshot dir: %w", err)
 	}
-	if keep > 0 {
-		s.prune(keep)
+	if names := s.list(); keep > 0 {
+		for _, name := range names[:max(len(names)-keep, 0)] {
+			_ = os.Remove(filepath.Join(s.dir, name))
+		}
 	}
 	return nil
 }
 
-func (s *SnapshotStore) prune(keep int) {
-	seqs := s.list()
-	for len(seqs) > keep {
-		old := seqs[0]
-		_ = os.Remove(filepath.Join(s.dir, fmt.Sprintf("snap-%016d.json", old)))
-		seqs = seqs[1:]
+// writeSynced writes data and its checksum to a new file and fsyncs it.
+func (s *SnapshotStore) writeSynced(path string, data []byte) error {
+	osf, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
 	}
+	var f File = osf
+	if s.Wrap != nil {
+		f = s.Wrap(f)
+	}
+	if _, err = f.Write(data); err == nil {
+		_, err = f.Write(binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(data)))
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
-func (s *SnapshotStore) list() []uint64 {
-	ents, err := os.ReadDir(s.dir)
+// syncDir fsyncs a directory, making a rename in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
 	if err != nil {
-		return nil
+		return err
 	}
-	var seqs []uint64
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// list returns the snapshot file names, oldest first; at one sequence
+// number the binary file sorts last, so it is the one Latest reads.
+func (s *SnapshotStore) list() []string {
+	ents, _ := os.ReadDir(s.dir)
+	var names []string
 	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasPrefix(name, "snap-") || !strings.HasSuffix(name, ".json") {
-			continue
+		if _, ok := snapSeq(e.Name()); ok {
+			names = append(names, e.Name())
 		}
-		v, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), ".json"), 10, 64)
-		if err != nil {
-			continue
-		}
-		seqs = append(seqs, v)
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs
+	sort.Slice(names, func(i, j int) bool {
+		a, _ := snapSeq(names[i])
+		b, _ := snapSeq(names[j])
+		return a < b || a == b && strings.HasSuffix(names[i], ".json")
+	})
+	return names
 }
 
-// Latest loads the newest snapshot into v, returning its sequence number.
-// ok is false when no snapshot exists.
-func (s *SnapshotStore) Latest(v any) (seq uint64, ok bool, err error) {
-	seqs := s.list()
-	if len(seqs) == 0 {
-		return 0, false, nil
+// snapSeq parses a snapshot file name.
+func snapSeq(name string) (uint64, bool) {
+	num, ok := strings.CutPrefix(name, "snap-")
+	if !ok {
+		return 0, false
 	}
-	seq = seqs[len(seqs)-1]
-	data, err := os.ReadFile(filepath.Join(s.dir, fmt.Sprintf("snap-%016d.json", seq)))
-	if err != nil {
-		return 0, false, err
+	num, bin := strings.CutSuffix(num, ".bin")
+	if !bin {
+		if num, ok = strings.CutSuffix(num, ".json"); !ok {
+			return 0, false
+		}
 	}
-	if err := json.Unmarshal(data, v); err != nil {
-		return 0, false, fmt.Errorf("storage: decode snapshot %d: %w", seq, err)
+	v, err := strconv.ParseUint(num, 10, 64)
+	return v, err == nil
+}
+
+// Latest returns the payload of the newest snapshot and its sequence
+// number; ok is false when no snapshot exists. A binary payload comes
+// without its checksum, a JSON file whole. A checksum mismatch, or a JSON
+// file that is not one JSON document, is an error.
+func (s *SnapshotStore) Latest() (seq uint64, data []byte, ok bool, err error) {
+	names := s.list()
+	if len(names) == 0 {
+		return 0, nil, false, nil
 	}
-	return seq, true, nil
+	name := names[len(names)-1]
+	seq, _ = snapSeq(name)
+	if data, err = os.ReadFile(filepath.Join(s.dir, name)); err != nil {
+		return 0, nil, false, err
+	}
+	if strings.HasSuffix(name, ".json") {
+		if !json.Valid(data) {
+			return 0, nil, false, fmt.Errorf("storage: snapshot %d: not a JSON document", seq)
+		}
+		return seq, data, true, nil
+	}
+	n := len(data) - 4
+	if n < 0 || crc32.ChecksumIEEE(data[:n]) != binary.LittleEndian.Uint32(data[n:]) {
+		return 0, nil, false, fmt.Errorf("storage: snapshot %d: checksum mismatch", seq)
+	}
+	return seq, data[:n], true, nil
 }

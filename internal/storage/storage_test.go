@@ -1,10 +1,14 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/fault"
 )
 
 func rec(t *testing.T, typ string, v any) Record {
@@ -193,29 +197,26 @@ func TestSnapshotSaveLatest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type state struct{ X int }
-	var got state
-	if _, ok, _ := ss.Latest(&got); ok {
+	if _, _, ok, _ := ss.Latest(); ok {
 		t.Error("empty store should have no snapshot")
 	}
-	if err := ss.Save(5, state{X: 42}, 3); err != nil {
+	if err := ss.Save(5, []byte("X=42"), 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := ss.Save(9, state{X: 99}, 3); err != nil {
+	if err := ss.Save(9, []byte("X=99"), 3); err != nil {
 		t.Fatal(err)
 	}
-	seq, ok, err := ss.Latest(&got)
-	if err != nil || !ok || seq != 9 || got.X != 99 {
-		t.Errorf("latest = %d %v %v %+v", seq, ok, err, got)
+	seq, got, ok, err := ss.Latest()
+	if err != nil || !ok || seq != 9 || string(got) != "X=99" {
+		t.Errorf("latest = %d %v %v %q", seq, ok, err, got)
 	}
 }
 
 func TestSnapshotPruning(t *testing.T) {
 	dir := t.TempDir()
 	ss, _ := NewSnapshotStore(dir)
-	type state struct{ X int }
 	for i := 1; i <= 5; i++ {
-		_ = ss.Save(uint64(i), state{X: i}, 2)
+		_ = ss.Save(uint64(i), []byte{byte(i)}, 2)
 	}
 	ents, _ := os.ReadDir(dir)
 	count := 0
@@ -227,10 +228,68 @@ func TestSnapshotPruning(t *testing.T) {
 	if count != 2 {
 		t.Errorf("kept %d snapshots, want 2", count)
 	}
-	var got state
-	seq, ok, _ := ss.Latest(&got)
-	if !ok || seq != 5 || got.X != 5 {
+	seq, got, ok, _ := ss.Latest()
+	if !ok || seq != 5 || !bytes.Equal(got, []byte{5}) {
 		t.Errorf("latest after prune = %d %v", seq, got)
+	}
+}
+
+// TestSnapshotLegacyJSONSequence: JSON snapshots written before the
+// binary format and binary ones number one sequence — Latest reads the
+// newest of either, a binary file wins a tie, and pruning counts both.
+func TestSnapshotLegacyJSONSequence(t *testing.T) {
+	dir := t.TempDir()
+	ss, _ := NewSnapshotStore(dir)
+	legacy := filepath.Join(dir, "snap-0000000000000004.json")
+	if err := os.WriteFile(legacy, []byte(`{"seq":4}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if seq, got, ok, err := ss.Latest(); err != nil || !ok || seq != 4 || string(got) != `{"seq":4}` {
+		t.Fatalf("latest = %d %q %v %v, want the JSON file", seq, got, ok, err)
+	}
+	if err := ss.Save(4, []byte("bin"), 3); err != nil {
+		t.Fatal(err)
+	}
+	if seq, got, _, _ := ss.Latest(); seq != 4 || string(got) != "bin" {
+		t.Fatalf("latest = %d %q, want the binary file at the same seq", seq, got)
+	}
+	if err := ss.Save(7, []byte("newer"), 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(legacy); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("prune kept the oldest (JSON) snapshot: %v", err)
+	}
+	if seq, got, _, _ := ss.Latest(); seq != 7 || string(got) != "newer" {
+		t.Fatalf("latest = %d %q", seq, got)
+	}
+}
+
+// TestSnapshotSaveSyncFailure: a snapshot whose fsync fails is an error
+// and never reaches its final name, so the previous snapshot stays the
+// latest and a caller keeps the log it would have compacted.
+func TestSnapshotSaveSyncFailure(t *testing.T) {
+	dir := t.TempDir()
+	var syncs int
+	ss, _ := NewSnapshotStore(dir)
+	ss.Wrap = func(f File) File {
+		syncs++
+		if syncs == 2 {
+			return fault.NewFile(f, fault.Rule{Op: fault.OpSync, Nth: 1, Err: fault.ErrIO})
+		}
+		return f
+	}
+	if err := ss.Save(1, []byte("one"), 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := ss.Save(2, []byte("two"), 2); !errors.Is(err, fault.ErrIO) {
+		t.Fatalf("Save with a failing fsync = %v, want the injected EIO", err)
+	}
+	if seq, got, _, err := ss.Latest(); err != nil || seq != 1 || string(got) != "one" {
+		t.Fatalf("latest = %d %q %v, want snapshot 1", seq, got, err)
+	}
+	ents, _ := os.ReadDir(dir)
+	if len(ents) != 1 {
+		t.Fatalf("directory holds %d files after the failed save, want 1", len(ents))
 	}
 }
 
@@ -239,11 +298,10 @@ func TestSnapshotIgnoresForeignFiles(t *testing.T) {
 	ss, _ := NewSnapshotStore(dir)
 	_ = os.WriteFile(filepath.Join(dir, "README"), []byte("hi"), 0o644)
 	_ = os.WriteFile(filepath.Join(dir, "snap-zzz.json"), []byte("{}"), 0o644)
-	type state struct{ X int }
-	_ = ss.Save(3, state{X: 7}, 2)
-	var got state
-	seq, ok, err := ss.Latest(&got)
-	if err != nil || !ok || seq != 3 || got.X != 7 {
+	_ = os.WriteFile(filepath.Join(dir, "snap-zzz.bin"), []byte("{}"), 0o644)
+	_ = ss.Save(3, []byte("X=7"), 2)
+	seq, got, ok, err := ss.Latest()
+	if err != nil || !ok || seq != 3 || string(got) != "X=7" {
 		t.Errorf("latest = %d %v %v", seq, ok, err)
 	}
 }
@@ -252,8 +310,18 @@ func TestSnapshotCorruptLatest(t *testing.T) {
 	dir := t.TempDir()
 	ss, _ := NewSnapshotStore(dir)
 	_ = os.WriteFile(filepath.Join(dir, "snap-0000000000000001.json"), []byte("{corrupt"), 0o644)
-	var v struct{}
-	if _, _, err := ss.Latest(&v); err == nil {
+	if _, _, _, err := ss.Latest(); err == nil {
 		t.Error("corrupt snapshot should error")
+	}
+	// A binary snapshot with one flipped payload byte fails its checksum.
+	if err := ss.Save(2, []byte("payload"), 3); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "snap-0000000000000002.bin")
+	data, _ := os.ReadFile(path)
+	data[0] ^= 1
+	_ = os.WriteFile(path, data, 0o644)
+	if _, _, _, err := ss.Latest(); err == nil {
+		t.Error("binary snapshot with a bad checksum should error")
 	}
 }

@@ -17,9 +17,9 @@ package wire
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -107,7 +107,7 @@ func (m *MultiSource) pick(ctx context.Context) *ReplicationSource {
 }
 
 // Bootstrap resolves the current primary and fetches its full state.
-func (m *MultiSource) Bootstrap() (uint64, bool, json.RawMessage, error) {
+func (m *MultiSource) Bootstrap() (io.ReadCloser, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout*time.Duration(len(m.srcs)))
 	src := m.pick(ctx)
 	cancel()

@@ -35,20 +35,6 @@ const TermHeader = "X-Ltam-Term"
 // orchestration can pick a promotion target from headers alone.
 const RoleHeader = "X-Ltam-Role"
 
-// BootstrapResponse carries the primary's full state for a follower:
-// the marshaled core snapshot, the global sequence number to tail from,
-// and the primary's rule-derivation mode (the follower must re-derive
-// exactly like the primary, since derived authorizations are not
-// logged).
-type BootstrapResponse struct {
-	Seq        uint64          `json:"seq"`
-	AutoDerive bool            `json:"auto_derive"`
-	State      json.RawMessage `json:"state"`
-	// Term is the promotion epoch the state was captured under (also
-	// embedded in State; surfaced here for the failover machinery).
-	Term uint64 `json:"term,omitempty"`
-}
-
 // ReplicationStatus reports a node's position in the replication
 // stream. Role is "primary" (BaseSeq/TotalSeq populated) or "replica"
 // (AppliedSeq/PrimarySeq/Lag/Connected populated).
@@ -127,14 +113,16 @@ func headerTerm(h http.Header) uint64 {
 	return t
 }
 
-// Bootstrap fetches the primary's full state.
-func (s *ReplicationSource) Bootstrap() (uint64, bool, json.RawMessage, error) {
-	var out BootstrapResponse
-	if err := s.c.do("GET", "/v1/replication/snapshot", nil, &out); err != nil {
-		return 0, false, nil, err
+// Bootstrap opens the stream of the primary's full state (core's
+// snapshot encoding); the caller reads it to the end and closes it.
+// Unlike other responses it has no size bound.
+func (s *ReplicationSource) Bootstrap() (io.ReadCloser, error) {
+	resp, err := s.c.open("GET", "/v1/replication/snapshot", nil)
+	if err != nil {
+		return nil, err
 	}
-	s.noteTerm(out.Term)
-	return out.Seq, out.AutoDerive, out.State, nil
+	s.noteTerm(headerTerm(resp.Header))
+	return resp.Body, nil
 }
 
 // Status fetches the node's replication status with the term gossip

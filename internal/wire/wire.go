@@ -211,6 +211,22 @@ func (c *Client) do(method, path string, in, out any) error {
 // send issues one request and returns the body of a 2xx response; any
 // other status becomes an error carrying the server's message.
 func (c *Client) send(method, path string, in any) ([]byte, error) {
+	resp, err := c.open(method, path, in)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	data, err := readBody(resp)
+	if err != nil {
+		return nil, fmt.Errorf("wire: %s %s: %w", method, path, err)
+	}
+	return data, nil
+}
+
+// open issues one request and returns a 2xx response, whose body the
+// caller reads and closes; any other status becomes an error carrying
+// the server's message.
+func (c *Client) open(method, path string, in any) (*http.Response, error) {
 	var body io.Reader
 	if in != nil {
 		data, err := json.Marshal(in)
@@ -230,19 +246,19 @@ func (c *Client) send(method, path string, in any) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	if resp.StatusCode/100 == 2 {
+		return resp, nil
+	}
 	defer resp.Body.Close()
 	data, err := readBody(resp)
 	if err != nil {
 		return nil, fmt.Errorf("wire: %s %s: %w", method, path, err)
 	}
-	if resp.StatusCode/100 != 2 {
-		var e Error
-		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			return nil, fmt.Errorf("wire: %s %s: %s", method, path, e.Error)
-		}
-		return nil, fmt.Errorf("wire: %s %s: HTTP %d", method, path, resp.StatusCode)
+	var e Error
+	if json.Unmarshal(data, &e) == nil && e.Error != "" {
+		return nil, fmt.Errorf("wire: %s %s: %s", method, path, e.Error)
 	}
-	return data, nil
+	return nil, fmt.Errorf("wire: %s %s: HTTP %d", method, path, resp.StatusCode)
 }
 
 // readBody reads a response body of at most maxResponse bytes into one
