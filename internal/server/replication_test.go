@@ -201,6 +201,9 @@ func TestReplicationRequiresDurability(t *testing.T) {
 // client's 16 MiB response bound would have allowed in JSON, so the
 // bootstrap is streamed and decoded as it arrives.
 func TestBootstrapLargePrimary(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds two nodes of 200k authorizations (~400 MB)")
+	}
 	g, _, _ := replicatest.GridSite(t, 16)
 	sys, err := core.Open(core.Config{Graph: g, DataDir: t.TempDir(), RelaxedDurability: true})
 	if err != nil {
