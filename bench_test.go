@@ -410,7 +410,7 @@ func BenchmarkWALGroupCommit(b *testing.B) {
 	record := storage.Record{Type: "bench", Data: payload}
 
 	b.Run("per-append-fsync", func(b *testing.B) {
-		w, err := storage.OpenWAL(filepath.Join(b.TempDir(), "wal"))
+		w, err := storage.OpenWAL(filepath.Join(b.TempDir(), "wal"), 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -424,7 +424,7 @@ func BenchmarkWALGroupCommit(b *testing.B) {
 	})
 
 	b.Run("append-group-64", func(b *testing.B) {
-		w, err := storage.OpenWAL(filepath.Join(b.TempDir(), "wal"))
+		w, err := storage.OpenWAL(filepath.Join(b.TempDir(), "wal"), 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -442,12 +442,12 @@ func BenchmarkWALGroupCommit(b *testing.B) {
 	})
 
 	b.Run("committer-parallel", func(b *testing.B) {
-		w, err := storage.OpenWAL(filepath.Join(b.TempDir(), "wal"))
+		w, err := storage.OpenWAL(filepath.Join(b.TempDir(), "wal"), 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		defer w.Close()
-		c := storage.NewCommitter(w, storage.CommitterConfig{})
+		c := storage.NewCommitter(w, nil)
 		defer c.Close()
 		// Force real producer concurrency even on single-vCPU CI boxes —
 		// group commit's whole point is concurrent writers sharing fsyncs.

@@ -210,7 +210,7 @@ func runReplica(addr, primaries, dataDir, relayDir string, followLagMax, capture
 	}
 	defer rep.Close()
 	if relayDir != "" {
-		if err := rep.EnableRelay(relayDir, 0); err != nil {
+		if err := rep.EnableRelay(relayDir); err != nil {
 			logger.Fatalf("relay: %v", err)
 		}
 		logger.Infof("cascade armed: relaying applied records into %s/relay.log for a downstream tier", relayDir)

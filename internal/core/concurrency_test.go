@@ -299,46 +299,6 @@ func TestSnapshotViewMatchesFreshAtEveryEpoch(t *testing.T) {
 	}
 }
 
-// TestRelaxedDurabilityRecovers: with Config.RelaxedDurability mutations
-// ack at enqueue; after a clean Close (which drains the committer) a
-// reopened System recovers every acknowledged mutation — the relaxed
-// mode narrows the durability window, it never reorders the WAL.
-func TestRelaxedDurabilityRecovers(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(Config{Graph: graph.NTUCampus(), DataDir: dir, RelaxedDurability: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutSubject(profile.Subject{ID: "Alice"}); err != nil {
-		t.Fatal(err)
-	}
-	var last authz.Authorization
-	for i := 0; i < 10; i++ {
-		if last, err = s.AddAuthorization(authz.New(
-			interval.New(1, 40), interval.New(2, 60), "Alice", graph.CAIS, authz.Unlimited)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := s.CommitStats(); !st.Relaxed {
-		t.Errorf("commit stats not relaxed: %+v", st)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := Open(Config{Graph: graph.NTUCampus(), DataDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if got := len(r.AuthorizationsFor("Alice", graph.CAIS)); got != 10 {
-		t.Errorf("recovered %d authorizations, want 10", got)
-	}
-	if _, err := r.AuthStore().Get(last.ID); err != nil {
-		t.Errorf("last acked authorization lost: %v", err)
-	}
-}
-
 // TestCacheInvalidation proves the epoch cache returns exactly what a
 // fresh computation returns across every mutation class that can change
 // an Algorithm-1 answer: grant, revoke, rule derivation (via profile

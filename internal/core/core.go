@@ -54,17 +54,6 @@ type Config struct {
 	// AutoDerive re-runs all rules after profile changes (Example 1's
 	// automatic re-derivation). Defaults to true via Open.
 	AutoDerive bool
-	// RelaxedDurability acknowledges mutations as soon as their WAL
-	// records are accepted by the group committer's queue instead of
-	// after the shared fsync. The loss window on a crash is bounded by
-	// the committer queue plus one in-flight batch; what survives is
-	// always a prefix of the acknowledged mutations (WAL order still
-	// equals apply order). Snapshot and Close still flush durably.
-	// Background write failures surface in CommitStats.SyncFailures and
-	// from Close, and once one batch is lost the committer stops writing
-	// later (already-acknowledged) batches so the surviving WAL stays a
-	// prefix.
-	RelaxedDurability bool
 	// WALWrap, when non-nil, wraps the WAL's backing file before any I/O
 	// — the fault-injection seam (see internal/fault). Production leaves
 	// it nil.
@@ -80,8 +69,7 @@ type Config struct {
 // the mutation waits on its commit barrier after releasing the lock — so
 // concurrent mutations share fsyncs and readers never queue behind disk.
 // A mutation is acknowledged (its method returns nil) only after its
-// records are durably on disk (or, with Config.RelaxedDurability, once
-// they are queued for the shared fsync).
+// records are durably on disk.
 //
 // Pure queries acquire no lock at all: each loads the current readView —
 // an immutable capture of the sharded authorization store — and runs
@@ -110,22 +98,17 @@ type System struct {
 	bounds   []geometry.Boundary
 	cache    *query.Cache
 
-	wal       *storage.WAL
+	// wal is the durable log, positioned at the global sequence of the
+	// latest snapshot: the coordinate system of the replication stream.
+	wal       *storage.Log
 	committer *storage.Committer
 	snaps     *storage.SnapshotStore
 	replaying bool
-	walPath   string
 	// logMoved wakes the readers of this node's served log (ServedLog.
 	// Changed) whenever its window may have moved: records became durable
 	// (a commit barrier resolved) or applied (on a follower), or a
 	// snapshot moved the base. It is a hint, not a count.
 	logMoved logMoved
-	// baseSeq is the global sequence number of the first record in the
-	// current WAL: the count of records compacted into the latest
-	// snapshot. Global seq = baseSeq + position in the WAL; it is the
-	// coordinate system of the replication stream. Written only under
-	// the write lock (Snapshot) or during Open.
-	baseSeq atomic.Uint64
 	// stagedSeq is the global sequence number of the last record staged
 	// for durability (enqueued to the committer) — the trace coordinate
 	// assigned under the write lock, ahead of the durable frontier by
@@ -289,7 +272,6 @@ func Open(cfg Config) (*System, error) {
 		if err := s.restoreSnapshot(snap); err != nil {
 			return nil, err
 		}
-		s.baseSeq.Store(snap.Seq)
 		if snap.Term > 0 {
 			s.term.Store(snap.Term)
 		}
@@ -304,7 +286,7 @@ func Open(cfg Config) (*System, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: replay: %w", err)
 		}
-		if err := s.openWAL(walPath, cfg.WALWrap, cfg.RelaxedDurability); err != nil {
+		if err := s.openWAL(walPath, snap.Seq, cfg.WALWrap); err != nil {
 			return nil, err
 		}
 	}
@@ -317,19 +299,18 @@ func Open(cfg Config) (*System, error) {
 	return s, nil
 }
 
-// openWAL opens the log at walPath for appending and starts the group
-// committer over it — the one writer of every WAL record. baseSeq must
-// already hold the log's base: the trace coordinate starts at the
-// durable frontier (staged == durable while nothing is queued).
-func (s *System) openWAL(walPath string, wrap func(storage.File) storage.File, relaxed bool) error {
-	wal, err := storage.OpenWALWith(walPath, wrap)
+// openWAL opens the log at walPath, whose first record is global
+// sequence base, and starts the group committer over it — the one writer
+// of every WAL record. The trace coordinate starts at the durable
+// frontier (staged == durable while nothing is queued).
+func (s *System) openWAL(walPath string, base uint64, wrap func(storage.File) storage.File) error {
+	wal, err := storage.OpenWAL(walPath, base, wrap)
 	if err != nil {
 		return err
 	}
 	s.wal = wal
-	s.walPath = walPath
-	s.committer = storage.NewCommitter(wal, storage.CommitterConfig{AckOnEnqueue: relaxed, Trace: s.trace})
-	s.stagedSeq = s.baseSeq.Load() + wal.Len()
+	s.committer = storage.NewCommitter(wal, s.trace)
+	_, s.stagedSeq, _ = wal.Window()
 	return nil
 }
 
@@ -545,11 +526,9 @@ func (s *System) CommitErr() error {
 	return s.committer.Err()
 }
 
-// waitNil and waitErr are ready-made commit barriers for the synchronous
-// paths.
+// waitNil is the ready-made commit barrier of a mutation with nothing to
+// log.
 var waitNil = func() error { return nil }
-
-func waitErr(err error) func() error { return func() error { return err } }
 
 // encodeRecord encodes a typed mutation payload into a WAL record: a
 // storage.Move in the binary movement body, anything else as JSON.
@@ -564,19 +543,23 @@ func encodeRecord(typ string, v any) (storage.Record, error) {
 	return storage.Record{Type: typ, Data: data}, nil
 }
 
-// logLocked stages one mutation record for durability and publishes the
-// post-mutation read view: logGroupLocked of one record.
-func (s *System) logLocked(typ string, v any) func() error {
-	var recs []storage.Record
-	if s.wal != nil && !s.replaying {
-		rec, err := encodeRecord(typ, v)
-		if err != nil {
-			s.publishLocked()
-			return waitErr(err)
-		}
-		recs = []storage.Record{rec}
+// recordLocked encodes the WAL record of a mutation BEFORE the mutation
+// is applied: a record the log would refuse (storage.ErrTooLarge) then
+// refuses the mutation, so no reader sees a change no log holds, and the
+// committer is not poisoned by it. There is no record without durability
+// or during replay.
+func (s *System) recordLocked(typ string, v any) ([]storage.Record, error) {
+	if s.wal == nil || s.replaying {
+		return nil, nil
 	}
-	return s.logGroupLocked(recs)
+	rec, err := encodeRecord(typ, v)
+	if err == nil {
+		err = storage.CheckRecord(rec)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return []storage.Record{rec}, nil
 }
 
 // traceStagedLocked assigns each staged record its global sequence
@@ -642,11 +625,15 @@ func (s *System) PutSubject(sub profile.Subject) error {
 
 func (s *System) putSubject(sub profile.Subject) error {
 	s.mu.Lock()
-	if err := s.profiles.Put(sub); err != nil {
+	recs, err := s.recordLocked("profile.put", sub)
+	if err == nil {
+		err = s.profiles.Put(sub)
+	}
+	if err != nil {
 		s.mu.Unlock()
 		return err
 	}
-	wait := s.logLocked("profile.put", sub)
+	wait := s.logGroupLocked(recs)
 	s.mu.Unlock()
 	return wait()
 }
@@ -661,11 +648,15 @@ func (s *System) RemoveSubject(id profile.SubjectID) error {
 
 func (s *System) removeSubject(id profile.SubjectID) error {
 	s.mu.Lock()
-	if err := s.profiles.Remove(id); err != nil {
+	recs, err := s.recordLocked("profile.remove", subjPayload{ID: id})
+	if err == nil {
+		err = s.profiles.Remove(id)
+	}
+	if err != nil {
 		s.mu.Unlock()
 		return err
 	}
-	wait := s.logLocked("profile.remove", subjPayload{ID: id})
+	wait := s.logGroupLocked(recs)
 	s.mu.Unlock()
 	return wait()
 }
@@ -698,12 +689,19 @@ func (s *System) addAuthorization(a authz.Authorization) (authz.Authorization, e
 		s.mu.Unlock()
 		return authz.Authorization{}, fmt.Errorf("core: %q is not a primitive location of %q", a.Location, s.root.Name())
 	}
-	stored, err := s.store.Add(a)
+	// The store normalizes a and numbers it NextID; under the write lock
+	// that is the value the record logs.
+	stored := a.Normalize()
+	stored.ID = s.store.NextID()
+	recs, err := s.recordLocked("authz.add", stored)
+	if err == nil {
+		stored, err = s.store.Add(a)
+	}
 	if err != nil {
 		s.mu.Unlock()
 		return authz.Authorization{}, err
 	}
-	wait := s.logLocked("authz.add", stored)
+	wait := s.logGroupLocked(recs)
 	s.mu.Unlock()
 	if err := wait(); err != nil {
 		return authz.Authorization{}, err
@@ -722,12 +720,16 @@ func (s *System) RevokeAuthorization(id authz.ID) (int, error) {
 
 func (s *System) revokeAuthorization(id authz.ID) (int, error) {
 	s.mu.Lock()
-	n, err := s.ruleEng.RevokeBase(id)
+	recs, err := s.recordLocked("authz.revoke", idPayload{ID: id})
+	var n int
+	if err == nil {
+		n, err = s.ruleEng.RevokeBase(id)
+	}
 	if err != nil {
 		s.mu.Unlock()
 		return 0, err
 	}
-	wait := s.logLocked("authz.revoke", idPayload{ID: id})
+	wait := s.logGroupLocked(recs)
 	s.mu.Unlock()
 	return n, wait()
 }
@@ -761,12 +763,16 @@ func (s *System) ResolveConflicts(strategy authz.Strategy) ([]authz.Resolution, 
 
 func (s *System) resolveConflicts(strategy authz.Strategy) ([]authz.Resolution, error) {
 	s.mu.Lock()
-	res, err := s.store.ResolveConflicts(strategy)
+	recs, err := s.recordLocked("authz.resolve", strategyPayload{Strategy: int(strategy)})
+	var res []authz.Resolution
+	if err == nil {
+		res, err = s.store.ResolveConflicts(strategy)
+	}
 	if err != nil || len(res) == 0 {
 		s.mu.Unlock()
 		return res, err
 	}
-	wait := s.logLocked("authz.resolve", strategyPayload{Strategy: int(strategy)})
+	wait := s.logGroupLocked(recs)
 	s.mu.Unlock()
 	return res, wait()
 }
@@ -783,17 +789,20 @@ func (s *System) AddRule(spec rules.Spec) (rules.Report, error) {
 
 func (s *System) addRule(spec rules.Spec) (rules.Report, error) {
 	s.mu.Lock()
-	r, err := spec.Compile()
+	recs, err := s.recordLocked("rule.add", spec)
+	var r rules.Rule
+	if err == nil {
+		r, err = spec.Compile()
+	}
+	var rep rules.Report
+	if err == nil {
+		rep, err = s.ruleEng.AddRule(r)
+	}
 	if err != nil {
 		s.mu.Unlock()
 		return rules.Report{}, err
 	}
-	rep, err := s.ruleEng.AddRule(r)
-	if err != nil {
-		s.mu.Unlock()
-		return rules.Report{}, err
-	}
-	wait := s.logLocked("rule.add", spec)
+	wait := s.logGroupLocked(recs)
 	s.mu.Unlock()
 	return rep, wait()
 }
@@ -808,11 +817,15 @@ func (s *System) RemoveRule(name string) error {
 
 func (s *System) removeRule(name string) error {
 	s.mu.Lock()
-	if err := s.ruleEng.RemoveRule(name); err != nil {
+	recs, err := s.recordLocked("rule.remove", namePayload{Name: name})
+	if err == nil {
+		err = s.ruleEng.RemoveRule(name)
+	}
+	if err != nil {
 		s.mu.Unlock()
 		return err
 	}
-	wait := s.logLocked("rule.remove", namePayload{Name: name})
+	wait := s.logGroupLocked(recs)
 	s.mu.Unlock()
 	return wait()
 }
@@ -858,12 +871,16 @@ func (s *System) Enter(t interval.Time, sub profile.SubjectID, l graph.ID) (enfo
 
 func (s *System) enter(t interval.Time, sub profile.SubjectID, l graph.ID) (enforce.Decision, error) {
 	s.mu.Lock()
-	d, err := s.engine.Enter(t, sub, l)
+	recs, err := s.recordLocked(storage.TypeMoveEnter, storage.Move{T: int64(t), S: string(sub), L: string(l)})
+	var d enforce.Decision
+	if err == nil {
+		d, err = s.engine.Enter(t, sub, l)
+	}
 	if err != nil {
 		s.mu.Unlock()
 		return d, err
 	}
-	wait := s.logLocked(storage.TypeMoveEnter, storage.Move{T: int64(t), S: string(sub), L: string(l)})
+	wait := s.logGroupLocked(recs)
 	s.mu.Unlock()
 	return d, wait()
 }
@@ -881,11 +898,15 @@ func (s *System) leave(t interval.Time, sub profile.SubjectID) error {
 	// The departed location rides in the record for event-feed consumers
 	// (a location filter must see leaves too); replay ignores it.
 	from, _ := s.moves.CurrentLocation(sub)
-	if err := s.engine.Leave(t, sub); err != nil {
+	recs, err := s.recordLocked(storage.TypeMoveLeave, storage.Move{T: int64(t), S: string(sub), L: string(from)})
+	if err == nil {
+		err = s.engine.Leave(t, sub)
+	}
+	if err != nil {
 		s.mu.Unlock()
 		return err
 	}
-	wait := s.logLocked(storage.TypeMoveLeave, storage.Move{T: int64(t), S: string(sub), L: string(from)})
+	wait := s.logGroupLocked(recs)
 	s.mu.Unlock()
 	return wait()
 }
@@ -900,12 +921,16 @@ func (s *System) Tick(t interval.Time) ([]audit.Alert, error) {
 
 func (s *System) tick(t interval.Time) ([]audit.Alert, error) {
 	s.mu.Lock()
-	raised, err := s.engine.Tick(t)
+	recs, err := s.recordLocked("tick", tickPayload{T: t})
+	var raised []audit.Alert
+	if err == nil {
+		raised, err = s.engine.Tick(t)
+	}
 	if err != nil {
 		s.mu.Unlock()
 		return nil, err
 	}
-	wait := s.logLocked("tick", tickPayload{T: t})
+	wait := s.logGroupLocked(recs)
 	s.mu.Unlock()
 	return raised, wait()
 }
@@ -1215,14 +1240,15 @@ func (s *System) Snapshot() error {
 		return err
 	}
 	// Number the snapshot with the CUMULATIVE record count, not the
-	// current WAL length: the WAL counter resets on every Truncate, so
+	// current WAL length: the WAL counter resets on every Reset, so
 	// per-compaction numbering would eventually go backwards and make
-	// SnapshotStore.Latest pick a stale snapshot. The cumulative base is
-	// also the global sequence the replication stream resumes from.
-	newBase := s.baseSeq.Load() + s.wal.Len()
+	// SnapshotStore.Latest pick a stale snapshot. The cumulative count is
+	// also the global sequence the replication stream resumes from; the
+	// flush in captureLocked made every record durable.
+	_, newBase, _ := s.wal.Window()
 	c.state.Seq = newBase
-	// The encoding stays under the lock: Truncate drops the whole log,
-	// so no record may be appended between the cut and the truncation.
+	// The encoding stays under the lock: Reset drops the whole log, so
+	// no record may be appended between the cut and the truncation.
 	data, err := c.encode()
 	if err != nil {
 		return err
@@ -1232,10 +1258,9 @@ func (s *System) Snapshot() error {
 	if err := s.snaps.Save(newBase, data, 2); err != nil {
 		return err
 	}
-	if err := s.wal.Truncate(); err != nil {
+	if err := s.wal.Reset(newBase); err != nil {
 		return err
 	}
-	s.baseSeq.Store(newBase)
 	// The base moved: wake followers so they re-resolve their position.
 	s.logMoved.fire()
 	return nil
@@ -1277,7 +1302,7 @@ func (c *Capture) encode() ([]byte, error) {
 // the cut's Seq. It drains the group committer first: the cut already
 // contains every enqueued mutation, so any record still in the queue
 // must reach the WAL before the cut's sequence number is read (and, for
-// Snapshot, before Truncate). The write lock keeps new records from
+// Snapshot, before Reset). The write lock keeps new records from
 // being enqueued behind the flush. The authorization view and the graph
 // are immutable; everything else is copied.
 func (s *System) captureLocked() (*Capture, error) {
@@ -1325,26 +1350,24 @@ type ReplicationInfo struct {
 	Term uint64 `json:"term"`
 }
 
-// ReplicationInfo reports the log-shipping coordinates. The read lock
-// makes the (BaseSeq, TotalSeq) pair a consistent cut against a
-// concurrent Snapshot compaction — and because Snapshot truncates the
-// WAL and publishes the new base inside one write critical section, a
-// reader that loads an unchanged BaseSeq AFTER reading log bytes knows
-// no compaction preceded those reads (the stream handlers rely on this
-// to validate each batch before shipping it).
+// ReplicationInfo reports the log-shipping coordinates: the WAL's
+// window (see storage.Log.Window) and the term.
 func (s *System) ReplicationInfo() ReplicationInfo {
 	if s.wal == nil {
 		return ReplicationInfo{}
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	base := s.baseSeq.Load()
-	return ReplicationInfo{Durable: true, BaseSeq: base, TotalSeq: base + s.wal.DurableLen(), Term: s.term.Load()}
+	base, total, _ := s.wal.Window()
+	return ReplicationInfo{Durable: true, BaseSeq: base, TotalSeq: total, Term: s.term.Load()}
 }
 
 // WALPath returns the live log's file path (empty without durability) —
 // what a same-host follower or the replication stream endpoint tails.
-func (s *System) WALPath() string { return s.walPath }
+func (s *System) WALPath() string {
+	if s.wal == nil {
+		return ""
+	}
+	return s.wal.Path()
+}
 
 // CaptureBootstrap cuts the full state a follower needs to start
 // replicating, stamped with the global sequence number the follower
@@ -1363,7 +1386,7 @@ func (s *System) CaptureBootstrap() (*Capture, error) {
 		return nil, err
 	}
 	// The cut includes every applied mutation, and the flush above made
-	// every one of them durable, so the durable length counts them all.
-	c.state.Seq = s.baseSeq.Load() + s.wal.DurableLen()
+	// every one of them durable, so the durable frontier counts them all.
+	_, c.state.Seq, _ = s.wal.Window()
 	return c, nil
 }

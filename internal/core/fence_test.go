@@ -15,24 +15,30 @@ import (
 // stream would deliver.
 func tailRecords(t *testing.T, sys *System, from uint64, n int) []storage.Record {
 	t.Helper()
-	tl, err := storage.OpenTailer(sys.WALPath())
+	lg, err := sys.ServedLog()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tl.Close()
-	base := sys.ReplicationInfo().BaseSeq
-	if skip := from - base; skip > 0 {
-		if got, err := tl.Skip(skip); err != nil || got != skip {
-			t.Fatalf("skip %d: got %d, %v", skip, got, err)
-		}
+	rd, err := lg.Open(from)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer rd.Close()
 	recs := make([]storage.Record, 0, n)
 	for len(recs) < n {
-		rec, err := tl.Next()
-		if err != nil {
-			t.Fatalf("tail record %d: %v", len(recs), err)
+		batch, err := rd.Read(nil, from+uint64(n))
+		if err != nil || len(batch) == 0 {
+			t.Fatalf("tail record %d: %d bytes, %v", len(recs), len(batch), err)
 		}
-		recs = append(recs, rec)
+		for len(batch) > 0 {
+			var body []byte
+			body, batch = storage.NextFrame(batch)
+			rec, err := storage.DecodeRecord(body)
+			if err != nil {
+				t.Fatalf("tail record %d: %v", len(recs), err)
+			}
+			recs = append(recs, rec)
+		}
 	}
 	return recs
 }

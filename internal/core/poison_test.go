@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/authz"
@@ -94,5 +95,54 @@ func TestPoisonGateAfterSyncFault(t *testing.T) {
 	}
 	if err := s2.PutSubject(profile.Subject{ID: "post-recovery"}); err != nil {
 		t.Fatalf("mutation after recovery: %v", err)
+	}
+}
+
+// TestOversizedMutationRefused: a mutation whose WAL record would not
+// fit a frame is refused before it applies. The JSON encoder escapes each
+// '<' to six bytes, so 3 MiB of them make an 18 MiB record. The refusal
+// is storage.ErrTooLarge; no reader sees the change, no log holds it,
+// the committer is not poisoned, and the next mutation commits.
+func TestOversizedMutationRefused(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Config{Graph: graph.NTUCampus(), DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := strings.Repeat("<", 3<<20)
+	if err := s.PutSubject(profile.Subject{ID: "u", Groups: []string{huge}}); !errors.Is(err, storage.ErrTooLarge) {
+		t.Fatalf("PutSubject of an oversized profile = %v, want ErrTooLarge", err)
+	}
+	if _, err := s.GetSubject("u"); err == nil {
+		t.Fatal("the refused profile is visible")
+	}
+	if _, err := s.AddAuthorization(authz.New(iv("[1, 10]"), iv("[1, 20]"), profile.SubjectID(huge), graph.CAIS, 1)); !errors.Is(err, storage.ErrTooLarge) {
+		t.Fatalf("AddAuthorization of an oversized grant = %v, want ErrTooLarge", err)
+	}
+	if n := len(s.Authorizations()); n != 0 {
+		t.Fatalf("%d authorizations visible after the refused grant", n)
+	}
+	if s.Poisoned() {
+		t.Fatalf("refusing a record poisoned the committer: %v", s.CommitErr())
+	}
+	if err := s.PutSubject(profile.Subject{ID: "v"}); err != nil {
+		t.Fatalf("the next mutation: %v", err)
+	}
+	if got := s.ReplicationInfo().TotalSeq; got != 1 {
+		t.Fatalf("the log holds %d records, want the one accepted mutation", got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(Config{Graph: graph.NTUCampus(), DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if _, err := s2.GetSubject("u"); err == nil {
+		t.Fatal("the refused profile was recovered")
+	}
+	if _, err := s2.GetSubject("v"); err != nil {
+		t.Fatalf("the accepted profile was not recovered: %v", err)
 	}
 }

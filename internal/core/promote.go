@@ -103,8 +103,7 @@ func (s *System) promote(dataDir string, term, seq uint64) error {
 	if err := snaps.Save(seq, data, 2); err != nil {
 		return err
 	}
-	s.baseSeq.Store(seq)
-	if err := s.openWAL(walPath, nil, false); err != nil {
+	if err := s.openWAL(walPath, seq, nil); err != nil {
 		return err
 	}
 	s.snaps = snaps

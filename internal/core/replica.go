@@ -129,12 +129,11 @@ type Replica struct {
 	applyMu sync.Mutex
 	// relay, when enabled, persists every applied record's frame so this
 	// follower can re-serve the replication stream and the committed-
-	// event feed to a downstream tier (cascading fan-out). relayDir is
-	// where relay.log (and the cursor sidecar) live.
-	relay    *storage.RelayLog
+	// event feed to a downstream tier (cascading fan-out): a cache-policy
+	// storage.Log. relayDir is where relay.log (and the cursor sidecar)
+	// live.
+	relay    *storage.Log
 	relayDir string
-	// relayBuf is the reused encode buffer of the relay append.
-	relayBuf []byte
 	// notify is the apply wakeup: one token per appliedSeq advance,
 	// collapsed (capacity 1).
 	notify chan struct{}
@@ -270,14 +269,12 @@ func (r *Replica) ApplyRecord(rec storage.Record) error {
 	r.sys.trace.Stamp(applied, obs.StageReplicaApply, obs.Now())
 	if r.relay != nil {
 		// Re-persist the applied record for the downstream tier. A relay
-		// write failure latches inside the RelayLog (this node stops
-		// serving downstream) but never fails replication itself: the
-		// relay is a cache, the upstream log is the record of truth.
-		// The codec is canonical, so the re-encoded frame equals the
-		// upstream one byte for byte.
-		if body, err := storage.AppendRecord(r.relayBuf[:0], rec); err == nil {
-			r.relayBuf = body
-			_ = r.relay.Append(body)
+		// failure latches inside the log (this node stops serving
+		// downstream) but never fails replication itself: the relay is a
+		// cache, the upstream log is the record of truth. The codec is
+		// canonical, so the re-encoded frame equals the upstream one byte
+		// for byte.
+		if r.relay.Append(rec) == nil {
 			r.sys.trace.Stamp(applied, obs.StageRelayAppend, obs.Now())
 		}
 	}
@@ -309,9 +306,9 @@ func (r *Replica) ApplyNotify() <-chan struct{} { return r.notify }
 // re-persisted as a frame in dir/relay.log, positioned at the current
 // applied sequence, so this follower can serve the replication stream
 // and the committed-event feed to a downstream tier. Call before Run
-// starts tailing. maxBytes bounds the file before it self-compacts
-// (<= 0 selects storage.DefaultRelayMaxBytes).
-func (r *Replica) EnableRelay(dir string, maxBytes int64) error {
+// starts tailing. The file compacts itself past
+// storage.DefaultRelayMaxBytes.
+func (r *Replica) EnableRelay(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("core: relay dir: %w", err)
 	}
@@ -320,7 +317,7 @@ func (r *Replica) EnableRelay(dir string, maxBytes int64) error {
 	if r.relay != nil {
 		return errors.New("core: relay already enabled")
 	}
-	rl, err := storage.OpenRelay(filepath.Join(dir, "relay.log"), r.appliedSeq.Load(), maxBytes)
+	rl, err := storage.OpenCache(filepath.Join(dir, "relay.log"), r.appliedSeq.Load(), nil)
 	if err != nil {
 		return err
 	}
@@ -331,17 +328,6 @@ func (r *Replica) EnableRelay(dir string, maxBytes int64) error {
 // RelayDir returns the relay directory ("" when cascading is not
 // enabled) — where per-node sidecar state (subscriber cursors) lives.
 func (r *Replica) RelayDir() string { return r.relayDir }
-
-// RelayInfo reports the relay's serving coordinates. ok is false when
-// cascading is not enabled or the relay has latched a write failure —
-// either way this node cannot serve a downstream tier right now.
-func (r *Replica) RelayInfo() (base, total uint64, ok bool) {
-	if r.relay == nil || r.relay.Err() != nil {
-		return 0, 0, false
-	}
-	base, total = r.relay.Info()
-	return base, total, true
-}
 
 // CaptureBootstrap captures the state a DOWNSTREAM follower bootstraps
 // from: this node's full state, stamped with its applied sequence. The

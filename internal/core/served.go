@@ -30,6 +30,7 @@ type ServedLog struct {
 	// a cascading follower, whose served log is its relay.
 	sys *System
 	rep *Replica
+	log *storage.Log
 }
 
 // ServedLog describes the primary's WAL; it fails without durability.
@@ -37,7 +38,7 @@ func (s *System) ServedLog() (ServedLog, error) {
 	if s.wal == nil {
 		return ServedLog{}, errors.New("core: replication requires durability (set Config.DataDir)")
 	}
-	return ServedLog{sys: s}, nil
+	return ServedLog{sys: s, log: s.wal}, nil
 }
 
 // ServedLog describes the follower's relay log; it fails unless
@@ -46,7 +47,7 @@ func (r *Replica) ServedLog() (ServedLog, error) {
 	if r.relay == nil {
 		return ServedLog{}, errors.New("core: follower has no relay (EnableRelay not called)")
 	}
-	return ServedLog{sys: r.sys, rep: r}, nil
+	return ServedLog{sys: r.sys, rep: r, log: r.relay}, nil
 }
 
 // System returns the node whose state the log's records built: its
@@ -54,27 +55,12 @@ func (r *Replica) ServedLog() (ServedLog, error) {
 func (l ServedLog) System() *System { return l.sys }
 
 // Path returns the log file's path.
-func (l ServedLog) Path() string {
-	if l.rep != nil {
-		return l.rep.relay.Path()
-	}
-	return l.sys.walPath
-}
+func (l ServedLog) Path() string { return l.log.Path() }
 
 // Window reports the servable (base, total) window: records below base
 // are compacted into a snapshot, and total is the durable (WAL) or
 // applied (relay) frontier. It is a storage.Window.
-func (l ServedLog) Window() (base, total uint64, err error) {
-	if l.rep != nil {
-		if err := l.rep.relay.Err(); err != nil {
-			return 0, 0, err
-		}
-		base, total = l.rep.relay.Info()
-		return base, total, nil
-	}
-	info := l.sys.ReplicationInfo()
-	return info.BaseSeq, info.TotalSeq, nil
-}
+func (l ServedLog) Window() (base, total uint64, err error) { return l.log.Window() }
 
 // Term is the promotion term a stream opened now is stamped with: the
 // primary's term, or the highest term a follower has proof of — so

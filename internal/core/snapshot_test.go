@@ -251,10 +251,44 @@ func TestBootstrapRefusesOtherVersions(t *testing.T) {
 	}
 }
 
-// TestSnapshotSyncFailureKeepsWAL: when the snapshot's fsync fails,
-// Snapshot returns the error and leaves the WAL as it was, so a restart
-// recovers every acknowledged record from it.
+// TestSnapshotSyncFailureKeepsWAL runs Snapshot through the storage
+// fault matrix: a counting pass discovers every write and sync of the
+// snapshot file, then each of them fails in turn — EIO, ENOSPC and a torn
+// write at each write, EIO at each sync. Under every fault Snapshot
+// returns the error, the previous snapshot stays the latest, no
+// temporary file is left, the WAL is not truncated, and a restart
+// recovers every acknowledged record.
 func TestSnapshotSyncFailureKeepsWAL(t *testing.T) {
+	var counter *fault.File
+	snapshotFault(t, func(f storage.File) storage.File {
+		counter = fault.NewFile(f)
+		return counter
+	}, nil)
+	writes, syncs := counter.Counts()
+	if writes == 0 || syncs == 0 {
+		t.Fatalf("a snapshot exercised no injection sites (writes=%d syncs=%d)", writes, syncs)
+	}
+	run := func(name string, rule fault.Rule) {
+		t.Run(name, func(t *testing.T) {
+			snapshotFault(t, func(f storage.File) storage.File { return fault.NewFile(f, rule) }, rule.Err)
+		})
+	}
+	for i := uint64(1); i <= writes; i++ {
+		run(fmt.Sprintf("write%d-eio", i), fault.Rule{Op: fault.OpWrite, Nth: i, Err: fault.ErrIO, Short: -1})
+		run(fmt.Sprintf("write%d-enospc", i), fault.Rule{Op: fault.OpWrite, Nth: i, Err: fault.ErrNoSpace, Short: -1})
+		run(fmt.Sprintf("write%d-torn", i), fault.Rule{Op: fault.OpWrite, Nth: i, Err: fault.ErrIO, Short: 3})
+	}
+	for i := uint64(1); i <= syncs; i++ {
+		run(fmt.Sprintf("sync%d-eio", i), fault.Rule{Op: fault.OpSync, Nth: i, Err: fault.ErrIO})
+	}
+}
+
+// snapshotFault snapshots a durable System once cleanly, logs more
+// mutations, and snapshots again with the snapshot file wrapped by wrap.
+// With want nil the second snapshot must succeed; otherwise it must fail
+// with want and leave everything durable as it was.
+func snapshotFault(t *testing.T, wrap func(storage.File) storage.File, want error) {
+	t.Helper()
 	dir := t.TempDir()
 	s, err := Open(Config{Graph: graph.Fig4Graph(), DataDir: dir})
 	if err != nil {
@@ -266,6 +300,11 @@ func TestSnapshotSyncFailureKeepsWAL(t *testing.T) {
 	for _, l := range []graph.ID{"A", "B"} {
 		if _, err := s.AddAuthorization(authz.New(iv("[1, 100]"), iv("[1, 200]"), "u", l, 0)); err != nil {
 			t.Fatal(err)
+		}
+		if l == "A" {
+			if err := s.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if _, err := s.Enter(5, "u", "A"); err != nil {
@@ -280,20 +319,28 @@ func TestSnapshotSyncFailureKeepsWAL(t *testing.T) {
 		return fi.Size()
 	}
 	size := walSize()
-	snapDir := filepath.Join(dir, "snapshots")
-	s.snaps.Wrap = func(f storage.File) storage.File {
-		return fault.NewFile(f, fault.Rule{Op: fault.OpSync, Nth: 1, Err: fault.ErrIO})
+	s.snaps.Wrap = wrap
+	err = s.Snapshot()
+	if want == nil {
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		return
 	}
-	if err := s.Snapshot(); !errors.Is(err, fault.ErrIO) {
-		t.Fatalf("Snapshot = %v, want the injected EIO", err)
+	if !errors.Is(err, want) {
+		t.Fatalf("Snapshot = %v, want the injected %v", err, want)
 	}
 	if got := s.ReplicationInfo(); got != before || walSize() != size {
 		t.Fatalf("WAL moved after the failed snapshot: %+v (%d bytes), was %+v (%d bytes)", got, walSize(), before, size)
 	}
-	if ents, _ := os.ReadDir(snapDir); len(ents) != 0 {
-		t.Fatalf("failed snapshot left %d files", len(ents))
+	if ents, _ := os.ReadDir(filepath.Join(dir, "snapshots")); len(ents) != 1 {
+		t.Fatalf("failed snapshot left %d files, want the previous snapshot alone", len(ents))
 	}
-	want := s.Authorizations()
+	if seq, _, ok, err := s.snaps.Latest(); !ok || err != nil || seq != before.BaseSeq {
+		t.Fatalf("latest snapshot = %d %v %v, want the previous one at %d", seq, ok, err, before.BaseSeq)
+	}
+	wantAuths := s.Authorizations()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -306,8 +353,8 @@ func TestSnapshotSyncFailureKeepsWAL(t *testing.T) {
 	if got := s2.ReplicationInfo(); got != before {
 		t.Fatalf("recovered %+v, want %+v", got, before)
 	}
-	if got := s2.Authorizations(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("recovered authorizations %v, want %v", got, want)
+	if got := s2.Authorizations(); !reflect.DeepEqual(got, wantAuths) {
+		t.Fatalf("recovered authorizations %v, want %v", got, wantAuths)
 	}
 	if loc, in := s2.WhereIs("u"); !in || loc != "A" {
 		t.Fatalf("recovered position %v %v", loc, in)
@@ -319,7 +366,7 @@ func TestSnapshotSyncFailureKeepsWAL(t *testing.T) {
 // authorizations are exactly those numbered below its ID watermark, and
 // its sequence number counts them.
 func TestCaptureEncodesOffLock(t *testing.T) {
-	s, err := Open(Config{Graph: graph.Fig4Graph(), DataDir: t.TempDir(), RelaxedDurability: true})
+	s, err := Open(Config{Graph: graph.Fig4Graph(), DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,5 +412,62 @@ func TestCaptureEncodesOffLock(t *testing.T) {
 	close(done)
 	if err := <-writerErr; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOpensEarlierDataDir: testdata/datadir-v1 was written before the
+// WAL and the relay became one log type: a snapshot at sequence 3 and a
+// WAL of four records behind it. It opens, replays onto the snapshot,
+// keeps its bytes, and takes new records after them.
+func TestOpensEarlierDataDir(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "datadir-v1")
+	for _, name := range []string{"wal.log", filepath.Join("snapshots", "snap-0000000000000003.bin")} {
+		data, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, name)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wal, _ := os.ReadFile(filepath.Join(src, "wal.log"))
+	s, err := Open(Config{Graph: graph.Fig4Graph(), DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.ReplicationInfo(); got.BaseSeq != 3 || got.TotalSeq != 7 {
+		t.Fatalf("replication window %+v, want base 3 total 7", got)
+	}
+	if got, _ := os.ReadFile(s.WALPath()); !bytes.Equal(got, wal) {
+		t.Fatal("opening rewrote the WAL")
+	}
+	var got []string
+	for _, a := range s.Authorizations() {
+		got = append(got, fmt.Sprintf("%d %s %s %d", a.ID, a.Subject, a.Location, a.MaxEntries))
+	}
+	if want := []string{"1 u A 0", "2 u B 2", "3 v A 0"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("authorizations %q, want %q", got, want)
+	}
+	if _, in := s.WhereIs("u"); in {
+		t.Fatal("u is inside after the replayed leave")
+	}
+	if s.Clock() != 10 {
+		t.Fatalf("clock %d, want 10", s.Clock())
+	}
+	if sub, err := s.GetSubject("u"); err != nil || !reflect.DeepEqual(sub.Groups, []string{"staff"}) {
+		t.Fatalf("profile u = %+v, %v", sub, err)
+	}
+	if err := s.PutSubject(profile.Subject{ID: "w"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(filepath.Join(dir, "wal.log")); !bytes.HasPrefix(got, wal) || len(got) == len(wal) {
+		t.Fatal("the new record was not appended after the earlier ones")
 	}
 }

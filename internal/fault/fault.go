@@ -35,10 +35,8 @@ var (
 type Op int
 
 const (
-	// OpWrite counts Write calls on the wrapped file. Note the WAL
-	// buffers appends through a bufio.Writer, so one WAL write site may
-	// surface as a later flush — the matrix enumerates the file-level
-	// operations that actually hit the device.
+	// OpWrite counts Write calls on the wrapped file: one per log
+	// Append, whatever the number of records it carries.
 	OpWrite Op = iota
 	// OpSync counts Sync (fsync) calls.
 	OpSync
@@ -86,7 +84,6 @@ type File struct {
 type backing interface {
 	io.Reader
 	io.Writer
-	io.Seeker
 	Sync() error
 	Truncate(size int64) error
 	Close() error
@@ -153,10 +150,6 @@ func (f *File) Sync() error {
 }
 
 func (f *File) Read(p []byte) (int, error) { return f.f.Read(p) }
-
-func (f *File) Seek(offset int64, whence int) (int64, error) {
-	return f.f.Seek(offset, whence)
-}
 
 func (f *File) Truncate(size int64) error {
 	f.mu.Lock()

@@ -24,7 +24,8 @@ func openTemp(t *testing.T) *os.File {
 // TestFileCountsAndPassthrough: with no rules the wrapper is transparent
 // and counts every operation — the discovery pass of the crash matrix.
 func TestFileCountsAndPassthrough(t *testing.T) {
-	f := NewFile(openTemp(t))
+	osf := openTemp(t)
+	f := NewFile(osf)
 	for i := 0; i < 3; i++ {
 		if _, err := f.Write([]byte("abc")); err != nil {
 			t.Fatal(err)
@@ -37,10 +38,7 @@ func TestFileCountsAndPassthrough(t *testing.T) {
 	if w != 3 || s != 1 {
 		t.Fatalf("counts = (%d writes, %d syncs), want (3, 1)", w, s)
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		t.Fatal(err)
-	}
-	got, err := io.ReadAll(f)
+	got, err := os.ReadFile(osf.Name())
 	if err != nil || !bytes.Equal(got, []byte("abcabcabc")) {
 		t.Fatalf("read back %q, err %v", got, err)
 	}

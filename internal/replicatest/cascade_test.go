@@ -127,7 +127,7 @@ func TestCascadeLeafCrashResume(t *testing.T) {
 		if casc.Pump(1) != 1 {
 			t.Fatalf("relay dry at leaf seq %d", casc.Leaf.AppliedSeq())
 		}
-		casc.RestartTailer() // crash the leaf at every frame boundary
+		casc.RestartReader() // crash the leaf at every frame boundary
 	}
 	casc.AssertEquivalent(h.Primary, subs, rooms, interval.Time(20))
 }
@@ -252,10 +252,14 @@ func TestCascadeRelaySelfHealAfterRebootstrap(t *testing.T) {
 	if err := h.Replica.Rebootstrap(); err != nil {
 		t.Fatal(err)
 	}
-	base, totalRelay, ok := casc.Up.RelayInfo()
-	if !ok || base != h.Replica.AppliedSeq() || totalRelay != base {
-		t.Fatalf("relay after re-bootstrap: base %d total %d, want empty at %d",
-			base, totalRelay, h.Replica.AppliedSeq())
+	lg, err := casc.Up.ServedLog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, totalRelay, err := lg.Window()
+	if err != nil || base != h.Replica.AppliedSeq() || totalRelay != base {
+		t.Fatalf("relay after re-bootstrap: base %d total %d (%v), want empty at %d",
+			base, totalRelay, err, h.Replica.AppliedSeq())
 	}
 
 	// The leaf (behind the reset relay) cannot resume — its position is
@@ -267,7 +271,7 @@ func TestCascadeRelaySelfHealAfterRebootstrap(t *testing.T) {
 	if err := casc.Leaf.Rebootstrap(); err != nil {
 		t.Fatal(err)
 	}
-	casc.RestartTailer()
+	casc.RestartReader()
 	casc.CatchUp()
 	casc.AssertEquivalent(h.Primary, []profile.SubjectID{"a"}, h.Primary.Flat().Nodes, interval.Time(20))
 }

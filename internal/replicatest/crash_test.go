@@ -106,46 +106,14 @@ func TestReplicaCrashResumeEveryFrameBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		applies := uint64(0)
-		pump := func(tl *storage.Tailer, upto uint64) {
-			t.Helper()
-			for rep.AppliedSeq() < upto {
-				rec, err := tl.Next()
-				if err != nil {
-					t.Fatalf("fence %d: next at seq %d: %v", fence, rep.AppliedSeq(), err)
-				}
-				if err := rep.ApplyRecord(rec); err != nil {
-					t.Fatalf("fence %d: %v", fence, err)
-				}
-				applies++
-			}
-		}
-
-		// Phase 1: run up to the fence, then "crash" (drop the tailer).
-		tl, err := storage.OpenTailer(h.Primary.WALPath())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n, err := tl.Skip(seq0 - info.BaseSeq); err != nil || n != seq0-info.BaseSeq {
-			t.Fatalf("fence %d: skip to genesis: %d, %v", fence, n, err)
-		}
-		pump(tl, seq0+fence)
-		tl.Close()
+		// Phase 1: run up to the fence, then "crash" (drop the reader).
+		applies := applyFrom(t, h.Primary, rep, seq0+fence)
 
 		// Phase 2: restart from nothing but AppliedSeq.
 		if got := rep.AppliedSeq(); got != seq0+fence {
 			t.Fatalf("fence %d: applied %d, want %d", fence, got, seq0+fence)
 		}
-		tl2, err := storage.OpenTailer(h.Primary.WALPath())
-		if err != nil {
-			t.Fatal(err)
-		}
-		need := rep.AppliedSeq() - info.BaseSeq
-		if n, err := tl2.Skip(need); err != nil || n != need {
-			t.Fatalf("fence %d: resume skip %d of %d: %v", fence, n, need, err)
-		}
-		pump(tl2, seq0+total)
-		tl2.Close()
+		applies += applyFrom(t, h.Primary, rep, seq0+total)
 
 		// Exactly once: the apply counter saw every record once, and the
 		// answers match the primary byte for byte (a double-applied
@@ -278,4 +246,40 @@ func TestReplicaRunLoopFollowsLive(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("Run returned %v", err)
 	}
+}
+
+// applyFrom applies the primary's served log to rep from rep's applied
+// sequence up to upto, through a fresh reader, and returns how many
+// records it applied.
+func applyFrom(t *testing.T, primary *core.System, rep *core.Replica, upto uint64) uint64 {
+	t.Helper()
+	lg, err := primary.ServedLog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := lg.Open(rep.AppliedSeq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	var applies uint64
+	for rep.AppliedSeq() < upto {
+		batch, err := rd.Read(nil, upto)
+		if err != nil || len(batch) == 0 {
+			t.Fatalf("read at seq %d: %d bytes, %v", rep.AppliedSeq(), len(batch), err)
+		}
+		for len(batch) > 0 {
+			var body []byte
+			body, batch = storage.NextFrame(batch)
+			rec, err := storage.DecodeRecord(body)
+			if err != nil {
+				t.Fatalf("decode at seq %d: %v", rep.AppliedSeq(), err)
+			}
+			if err := rep.ApplyRecord(rec); err != nil {
+				t.Fatalf("apply at seq %d: %v", rep.AppliedSeq(), err)
+			}
+			applies++
+		}
+	}
+	return applies
 }

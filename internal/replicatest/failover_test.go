@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/interval"
 	"repro/internal/profile"
-	"repro/internal/storage"
 )
 
 // TestPromoteAtEveryRecordBoundary kills the primary at EVERY record
@@ -72,23 +71,7 @@ func TestPromoteAtEveryRecordBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tl, err := storage.OpenTailer(h.Primary.WALPath())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tl.Close()
-		if n, err := tl.Skip(seq0 - info.BaseSeq); err != nil || n != seq0-info.BaseSeq {
-			t.Fatalf("fence %d: skip to genesis: %d, %v", fence, n, err)
-		}
-		for rep.AppliedSeq() < seq0+fence {
-			rec, err := tl.Next()
-			if err != nil {
-				t.Fatalf("fence %d: tail: %v", fence, err)
-			}
-			if err := rep.ApplyRecord(rec); err != nil {
-				t.Fatalf("fence %d: apply: %v", fence, err)
-			}
-		}
+		applyFrom(t, h.Primary, rep, seq0+fence)
 		return rep
 	}
 

@@ -87,7 +87,7 @@ func New(tb testing.TB, g *graph.Graph, bounds []geometry.Boundary) *Harness {
 	tb.Cleanup(func() { p.Close() })
 	h := &Harness{tb: tb, Primary: p}
 	h.Replica = h.NewFollower()
-	h.RestartTailer()
+	h.RestartReader()
 	return h
 }
 
@@ -102,10 +102,10 @@ func (h *Harness) NewFollower() *core.Replica {
 	return rep
 }
 
-// RestartTailer fences a follower crash: it drops the current reader
+// RestartReader fences a follower crash: it drops the current reader
 // (if any) and attaches a brand-new one positioned from nothing but the
 // replica's AppliedSeq — exactly what a restarted follower process does.
-func (h *Harness) RestartTailer() {
+func (h *Harness) RestartReader() {
 	h.tb.Helper()
 	if h.pump == nil {
 		lg, err := h.Primary.ServedLog()
@@ -167,7 +167,7 @@ type Cascade struct {
 // leaf is expected to see.
 func (h *Harness) EnableCascade() *Cascade {
 	h.tb.Helper()
-	if err := h.Replica.EnableRelay(h.tb.TempDir(), 0); err != nil {
+	if err := h.Replica.EnableRelay(h.tb.TempDir()); err != nil {
 		h.tb.Fatal(err)
 	}
 	leaf, err := core.NewReplica(&core.LogSource{Node: h.Replica})
@@ -180,13 +180,13 @@ func (h *Harness) EnableCascade() *Cascade {
 		h.tb.Fatal(err)
 	}
 	c := &Cascade{tb: h.tb, Up: h.Replica, Leaf: leaf, pump: newLogPump(h.tb, "leaf pump", lg, leaf)}
-	c.RestartTailer()
+	c.RestartReader()
 	return c
 }
 
-// RestartTailer fences a leaf crash: a brand-new reader on the relay
+// RestartReader fences a leaf crash: a brand-new reader on the relay
 // log, positioned from nothing but the leaf's AppliedSeq.
-func (c *Cascade) RestartTailer() {
+func (c *Cascade) RestartReader() {
 	c.tb.Helper()
 	c.pump.restart()
 }

@@ -40,7 +40,7 @@ func TestCascadeOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rep.Close()
-	if err := rep.EnableRelay(t.TempDir(), 0); err != nil {
+	if err := rep.EnableRelay(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())

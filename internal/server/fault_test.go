@@ -349,3 +349,47 @@ func TestBeginDrainSealsStreams(t *testing.T) {
 		t.Fatal("new streaming connection accepted while draining")
 	}
 }
+
+// TestOversizedMutationIs413: a profile that fits the request body limit
+// but whose WAL record would not fit a frame (JSON escapes each '<' to
+// six bytes) is refused with 413 before it applies. The node is not
+// poisoned, the refused profile is not readable, and the next write
+// succeeds.
+func TestOversizedMutationIs413(t *testing.T) {
+	sys, err := core.Open(core.Config{Graph: graph.NTUCampus(), DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	srv := New(sys)
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	post := func(body string) int {
+		resp, err := http.Post(ts.URL+"/v1/subjects", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	// The body carries the '<'s unescaped: 3 MiB, within the body limit.
+	if got := post(`{"ID":"u","Groups":["` + strings.Repeat("<", 3<<20) + `"]}`); got != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized profile = %d, want 413", got)
+	}
+	if sys.Poisoned() {
+		t.Fatalf("the refused write poisoned the node: %v", sys.CommitErr())
+	}
+	resp, err := http.Get(ts.URL + "/v1/subjects/u")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET of the refused profile = %d, want 404", resp.StatusCode)
+	}
+	if got := post(`{"ID":"v"}`); got/100 != 2 {
+		t.Fatalf("the next write = %d, want 2xx", got)
+	}
+}

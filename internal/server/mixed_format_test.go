@@ -328,7 +328,7 @@ func rewriteLeadingMoves(t *testing.T, path string) {
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	w, err := storage.OpenWAL(path)
+	w, err := storage.OpenWAL(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,8 +44,6 @@ func (s *Server) buildRegistry() *obs.Registry {
 		st := s.sys.CommitStats()
 		w.Counter("ltam_commit_batches_total", "WAL group-commit batches fsynced.", float64(st.Batches))
 		w.Counter("ltam_commit_records_total", "Records covered by group-commit batches.", float64(st.Records))
-		w.Counter("ltam_commit_sync_failures_total", "Relaxed-mode batches whose background write failed.", float64(st.SyncFailures))
-		w.Gauge("ltam_commit_relaxed", "1 when the committer acks on enqueue (relaxed durability).", boolGauge(st.Relaxed))
 		w.Gauge("ltam_wal_poisoned", "1 when a WAL write failed and the committer refuses further commits.", boolGauge(st.Poisoned))
 		w.Gauge("ltam_draining", "1 while the node is draining for shutdown.", boolGauge(s.draining.Load()))
 	})

@@ -86,7 +86,7 @@ func (s *Server) replicationSnapshot(w http.ResponseWriter, r *http.Request) {
 	// the relay frontier; anywhere else it is the primary's.
 	capture := s.sys.CaptureBootstrap
 	if s.isFollower() {
-		if _, _, ok := s.rep.RelayInfo(); !ok {
+		if _, _, ok := s.relayWindow(); !ok {
 			writeErr(w, http.StatusBadRequest, errRelayUnarmed)
 			return
 		}
@@ -162,7 +162,7 @@ func (s *Server) replicationWireStatus(ctx context.Context) *wire.ReplicationSta
 			WalConns:    s.walConns.Load(),
 			WalBytes:    s.walBytes.Load(),
 		}
-		if base, total, ok := s.rep.RelayInfo(); ok {
+		if base, total, ok := s.relayWindow(); ok {
 			// A cascading follower publishes its relay coordinates in the
 			// primary's BaseSeq/TotalSeq slots: they mean the same thing to
 			// a downstream consumer — the servable window.
@@ -188,6 +188,17 @@ func (s *Server) replicationWireStatus(ctx context.Context) *wire.ReplicationSta
 		WalConns: s.walConns.Load(),
 		WalBytes: s.walBytes.Load(),
 	}
+}
+
+// relayWindow reports a follower's relay window. ok is false when
+// cascading is not enabled or the relay has latched a write failure —
+// either way this node cannot serve a downstream tier right now.
+func (s *Server) relayWindow() (base, total uint64, ok bool) {
+	lg, err := s.rep.ServedLog()
+	if err == nil {
+		base, total, err = lg.Window()
+	}
+	return base, total, err == nil
 }
 
 // downstreamLog resolves which log this node serves downstream — the

@@ -205,7 +205,7 @@ func TestBootstrapLargePrimary(t *testing.T) {
 		t.Skip("builds two nodes of 200k authorizations (~400 MB)")
 	}
 	g, _, _ := replicatest.GridSite(t, 16)
-	sys, err := core.Open(core.Config{Graph: g, DataDir: t.TempDir(), RelaxedDurability: true})
+	sys, err := core.Open(core.Config{Graph: g, DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -597,5 +597,9 @@ func statusFor(err error) int {
 		// node's pure queries keep serving.
 		return http.StatusServiceUnavailable
 	}
+	if errors.Is(err, storage.ErrTooLarge) {
+		// Refused before it applied: its record would not fit a frame.
+		return http.StatusRequestEntityTooLarge
+	}
 	return http.StatusBadRequest
 }

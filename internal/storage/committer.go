@@ -46,26 +46,6 @@ const (
 	DefaultQueueLen = 4096
 )
 
-// CommitterConfig configures a Committer. The zero value is the durable
-// committer.
-type CommitterConfig struct {
-	// AckOnEnqueue is the relaxed-durability mode: Commit's barrier is
-	// released as soon as the records are accepted into the queue, not
-	// after their fsync. The records still reach the WAL in enqueue
-	// order on the committer goroutine, so a crash loses at most the
-	// queued-but-unsynced suffix — what survives is always a prefix of
-	// the acknowledged records, never a reordering. The loss window is
-	// bounded by DefaultQueueLen groups plus one in-flight batch. Flush (and
-	// therefore Close) remains fully durable: its barrier is released
-	// only after the fsync covering everything enqueued before it.
-	// Background fsync failures are counted in Stats().SyncFailures and
-	// retained in Err.
-	AckOnEnqueue bool
-	// Trace, when set, receives the append/fsync/publish stage stamps
-	// for every record carrying a traced sequence (Record.Obs.Seq).
-	Trace *obs.PipelineTrace
-}
-
 // group is one Commit call: its records plus its commit barrier. A
 // Flush rides the queue as an empty group.
 type group struct {
@@ -80,12 +60,6 @@ type CommitterStats struct {
 	// fsync amortization factor.
 	Batches uint64 `json:"batches"`
 	Records uint64 `json:"records"`
-	// Relaxed reports whether AckOnEnqueue is on; SyncFailures counts
-	// batches whose background write failed — in relaxed mode those
-	// records were acknowledged but are not durable, so a non-zero count
-	// demands operator attention (see Err for the most recent failure).
-	Relaxed      bool   `json:"relaxed,omitempty"`
-	SyncFailures uint64 `json:"sync_failures,omitempty"`
 	// Poisoned reports that a write or fsync failed and the committer has
 	// permanently stopped writing (see ErrWALPoisoned).
 	Poisoned bool `json:"poisoned,omitempty"`
@@ -94,9 +68,8 @@ type CommitterStats struct {
 // Committer is the asynchronous group-commit front of a WAL. It is safe
 // for concurrent use. Close drains the queue before returning.
 type Committer struct {
-	wal          *WAL
-	ackOnEnqueue bool
-	trace        *obs.PipelineTrace
+	wal   *Log
+	trace *obs.PipelineTrace
 
 	ch     chan group
 	loopWG sync.WaitGroup
@@ -105,19 +78,19 @@ type Committer struct {
 	closed    bool
 	closeOnce sync.Once
 
-	batches  atomic.Uint64
-	records  atomic.Uint64
-	syncErrs atomic.Uint64
-	lastErr  atomic.Pointer[error]
+	batches atomic.Uint64
+	records atomic.Uint64
+	lastErr atomic.Pointer[error]
 }
 
-// NewCommitter starts the committer goroutine over w.
-func NewCommitter(w *WAL, cfg CommitterConfig) *Committer {
+// NewCommitter starts the committer goroutine over the durable log w.
+// trace, when non-nil, receives the append/fsync/publish stage stamps of
+// every record carrying a traced sequence (Record.Obs.Seq).
+func NewCommitter(w *Log, trace *obs.PipelineTrace) *Committer {
 	c := &Committer{
-		wal:          w,
-		ackOnEnqueue: cfg.AckOnEnqueue,
-		trace:        cfg.Trace,
-		ch:           make(chan group, DefaultQueueLen),
+		wal:   w,
+		trace: trace,
+		ch:    make(chan group, DefaultQueueLen),
 	}
 	c.loopWG.Add(1)
 	go c.run()
@@ -126,10 +99,8 @@ func NewCommitter(w *WAL, cfg CommitterConfig) *Committer {
 
 // Commit enqueues recs for the next batch and returns the commit barrier:
 // the channel delivers one error once the records are durably written
-// (nil) or the batch failed. With AckOnEnqueue the barrier is released
-// as soon as the records are queued — durability follows asynchronously
-// in enqueue order. An empty recs commits immediately. After Close, the
-// barrier delivers ErrCommitterClosed.
+// (nil) or the batch failed. An empty recs commits immediately. After
+// Close, the barrier delivers ErrCommitterClosed.
 //
 // Callers that need WAL order to equal apply order must serialise their
 // Commit calls themselves (core.System enqueues under its write lock).
@@ -137,12 +108,6 @@ func (c *Committer) Commit(recs ...Record) <-chan error {
 	done := make(chan error, 1)
 	if len(recs) == 0 {
 		done <- nil
-		return done
-	}
-	if c.ackOnEnqueue {
-		// The group carries no barrier; the committer reports its write
-		// outcome through the failure counters instead.
-		done <- c.enqueue(group{recs: recs})
 		return done
 	}
 	c.enqueue(group{recs: recs, done: done})
@@ -156,29 +121,23 @@ func (c *Committer) Flush() error {
 	return <-done
 }
 
-// enqueue queues g, reporting ErrCommitterClosed (to the caller and, when
-// present, the group's barrier) after Close.
-func (c *Committer) enqueue(g group) error {
+// enqueue queues g, or delivers ErrCommitterClosed to its barrier after
+// Close.
+func (c *Committer) enqueue(g group) {
 	c.closeMu.RLock()
+	defer c.closeMu.RUnlock()
 	if c.closed {
-		c.closeMu.RUnlock()
-		if g.done != nil {
-			g.done <- ErrCommitterClosed
-		}
-		return ErrCommitterClosed
+		g.done <- ErrCommitterClosed
+		return
 	}
 	c.ch <- g
-	c.closeMu.RUnlock()
-	return nil
 }
 
 // Close stops accepting new commits, drains and commits everything
 // already enqueued, and waits for the committer goroutine to exit. It is
 // idempotent. It does not close the underlying WAL. It returns the
-// latched background write error, if any — in relaxed mode the one
-// channel through which an acknowledged-but-lost write can still reach
-// the caller at shutdown, and in durable mode the poison that already
-// failed every barrier since.
+// latched write error, if any: the poison that already failed every
+// barrier since.
 func (c *Committer) Close() error {
 	c.closeOnce.Do(func() {
 		c.closeMu.Lock()
@@ -193,11 +152,9 @@ func (c *Committer) Close() error {
 // Stats reports batching counters.
 func (c *Committer) Stats() CommitterStats {
 	return CommitterStats{
-		Batches:      c.batches.Load(),
-		Records:      c.records.Load(),
-		Relaxed:      c.ackOnEnqueue,
-		SyncFailures: c.syncErrs.Load(),
-		Poisoned:     c.Poisoned(),
+		Batches:  c.batches.Load(),
+		Records:  c.records.Load(),
+		Poisoned: c.Poisoned(),
 	}
 }
 
@@ -207,9 +164,8 @@ func (c *Committer) Poisoned() bool {
 	return c.lastErr.Load() != nil
 }
 
-// Err returns the most recent background write failure (nil when every
-// batch so far has been written). In relaxed mode this is the only place
-// a lost write surfaces, since the commit barrier acked at enqueue.
+// Err returns the write failure that poisoned the committer (nil when
+// every batch so far has been written).
 func (c *Committer) Err() error {
 	if p := c.lastErr.Load(); p != nil {
 		return *p
@@ -255,24 +211,18 @@ func (c *Committer) run() {
 		for _, b := range batch {
 			recs = append(recs, b.recs...)
 		}
-		// The first write failure latches and the committer stops writing
-		// — in BOTH durability modes. Appending after a dropped batch
-		// would leave the WAL with a hole, so once a batch is lost
-		// everything behind it is dropped too: the survivors on disk are
-		// always a PREFIX of the sequence handed to the committer. And a
-		// failed fsync is never retried (fsyncgate): the kernel may have
-		// discarded the dirty pages while clearing its error bit, so a
-		// "successful" retry proves nothing. Relaxed mode surfaces the
-		// original failure through Flush/Close/Err; durable mode fails
-		// the in-flight barrier with the underlying error and every
-		// later barrier with ErrWALPoisoned.
+		// The first write failure latches and the committer stops
+		// writing. Appending after a dropped batch would leave the WAL
+		// with a hole, so once a batch is lost everything behind it is
+		// dropped too: the survivors on disk are always a PREFIX of the
+		// sequence handed to the committer. And a failed fsync is never
+		// retried (fsyncgate): the kernel may have discarded the dirty
+		// pages while clearing its error bit, so a "successful" retry
+		// proves nothing. The in-flight barrier gets the underlying
+		// error, every later barrier ErrWALPoisoned.
 		var err error
 		if p := c.lastErr.Load(); p != nil {
-			if c.ackOnEnqueue {
-				err = *p
-			} else {
-				err = fmt.Errorf("%w: %v", ErrWALPoisoned, *p)
-			}
+			err = fmt.Errorf("%w: %v", ErrWALPoisoned, *p)
 		}
 		if err == nil {
 			c.stamp(recs, obs.StageAppend)
@@ -282,7 +232,6 @@ func (c *Committer) run() {
 			c.batches.Add(1)
 			c.records.Add(uint64(n))
 		} else if err != nil {
-			c.syncErrs.Add(1)
 			c.lastErr.Store(&err)
 		}
 		if err == nil {
@@ -294,9 +243,7 @@ func (c *Committer) run() {
 			c.stamp(recs, obs.StagePublish)
 		}
 		for _, b := range batch {
-			if b.done != nil {
-				b.done <- err
-			}
+			b.done <- err
 		}
 	}
 }

@@ -31,11 +31,11 @@ func replayInts(t *testing.T, path string) []int {
 // fsync batches than records).
 func TestCommitterBarrier(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, err := OpenWAL(path)
+	w, err := OpenWAL(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCommitter(w, CommitterConfig{})
+	c := NewCommitter(w, nil)
 
 	const producers, perProducer = 8, 50
 	var wg sync.WaitGroup
@@ -86,11 +86,11 @@ func TestCommitterBarrier(t *testing.T) {
 // relies on — across several DefaultMaxBatch-bounded batches.
 func TestCommitterOrder(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, err := OpenWAL(path)
+	w, err := OpenWAL(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCommitter(w, CommitterConfig{})
+	c := NewCommitter(w, nil)
 
 	const n = 3*DefaultMaxBatch + 100
 	waits := make([]<-chan error, 0, n)
@@ -123,8 +123,8 @@ func TestCommitterOrder(t *testing.T) {
 // written contiguously and acked once.
 func TestCommitterMultiRecordGroups(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, _ := OpenWAL(path)
-	c := NewCommitter(w, CommitterConfig{})
+	w, _ := OpenWAL(path, 0, nil)
+	c := NewCommitter(w, nil)
 
 	var recs []Record
 	for i := 0; i < 64; i++ {
@@ -153,8 +153,8 @@ func TestCommitterMultiRecordGroups(t *testing.T) {
 // enqueued; Commit after Close fails fast with ErrCommitterClosed.
 func TestCommitterCloseDrainsAndRejects(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, _ := OpenWAL(path)
-	c := NewCommitter(w, CommitterConfig{})
+	w, _ := OpenWAL(path, 0, nil)
+	c := NewCommitter(w, nil)
 
 	waits := make([]<-chan error, 0, 20)
 	for i := 0; i < 20; i++ {
@@ -182,8 +182,8 @@ func TestCommitterCloseDrainsAndRejects(t *testing.T) {
 // resolve immediately and write nothing.
 func TestCommitterEmptyCommitAndFlush(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, _ := OpenWAL(path)
-	c := NewCommitter(w, CommitterConfig{})
+	w, _ := OpenWAL(path, 0, nil)
+	c := NewCommitter(w, nil)
 	if err := <-c.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestCommitterEmptyCommitAndFlush(t *testing.T) {
 func TestGroupCommitTornTail(t *testing.T) {
 	dir := t.TempDir()
 	full := filepath.Join(dir, "full")
-	w, err := OpenWAL(full)
+	w, err := OpenWAL(full, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestGroupCommitTornTail(t *testing.T) {
 		}
 		// Reopen for appending: the torn tail must be truncated and the
 		// log healthy.
-		w2, err := OpenWAL(path)
+		w2, err := OpenWAL(path, 0, nil)
 		if err != nil {
 			t.Fatalf("cut=%d: reopen: %v", cut, err)
 		}

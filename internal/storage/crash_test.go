@@ -15,7 +15,7 @@ import (
 func TestPropCrashAtEveryByte(t *testing.T) {
 	dir := t.TempDir()
 	full := filepath.Join(dir, "full")
-	w, err := OpenWAL(full)
+	w, err := OpenWAL(full, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestPropCrashAtEveryByte(t *testing.T) {
 		}
 
 		// Reopen, append, and verify the log is healthy.
-		w2, err := OpenWAL(path)
+		w2, err := OpenWAL(path, 0, nil)
 		if err != nil {
 			t.Fatalf("cut=%d: reopen: %v", cut, err)
 		}
@@ -103,7 +103,7 @@ func TestPropRandomCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	dir := t.TempDir()
 	base := filepath.Join(dir, "base")
-	w, _ := OpenWAL(base)
+	w, _ := OpenWAL(base, 0, nil)
 	for i := 0; i < 20; i++ {
 		_ = w.Append(rec(t, "r", i))
 	}

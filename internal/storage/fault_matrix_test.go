@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -59,19 +60,19 @@ var moveInput = matrixInput{
 	},
 }
 
-// matrixWorkload is the canonical crash-matrix workload: a durable
-// committer (no relaxed acks) committing records m0..m{n-1}
+// matrixWorkload is the canonical crash-matrix workload: a committer
+// committing records m0..m{n-1}
 // one at a time, waiting out every barrier. Sequential commits mean the
 // nil-acked set is by construction a prefix; the run records where it
 // ends. After the first failure one probe commit checks the poison
 // latch.
 func matrixWorkload(t *testing.T, in matrixInput, path string, n int, wrap func(File) File) matrixOutcome {
 	t.Helper()
-	w, err := OpenWALWith(path, wrap)
+	w, err := OpenWAL(path, 0, wrap)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	c := NewCommitter(w, CommitterConfig{})
+	c := NewCommitter(w, nil)
 	var out matrixOutcome
 	for i := 0; i < n; i++ {
 		if err := <-c.Commit(in.rec(t, i)); err != nil {
@@ -193,39 +194,64 @@ func faultMatrix(t *testing.T, prefix string, in matrixInput) {
 	}
 }
 
-// TestFaultMatrixRelaxedLatch is the relaxed-durability corner: with
-// AckOnEnqueue every barrier acks nil up front, so the ONLY channels
-// through which a lost write can surface are Flush, Close, Err and the
-// failure counters. A sync fault must latch into all four. The rule arms
-// the FIRST sync because relaxed commits batch nondeterministically —
-// one fsync may cover all four records — but whatever the batching,
-// sync #1 is the one that covers record m0.
-func TestFaultMatrixRelaxedLatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal")
-	w, err := OpenWALWith(path, func(f File) File {
-		return fault.NewFile(f, fault.Rule{Op: fault.OpSync, Nth: 1, Err: fault.ErrIO})
-	})
+// TestFaultMatrixSnapshotSave runs the crash matrix over SnapshotStore.
+// Save: a counting pass discovers every write and sync of one save, then
+// a save is re-run with each of them failing — EIO, ENOSPC and a torn
+// write at each write site, EIO at each sync site. Under every fault the
+// save reports the error, no temporary file is left behind, and the
+// previous snapshot is still the latest.
+func TestFaultMatrixSnapshotSave(t *testing.T) {
+	save := func(t *testing.T, rule *fault.Rule) (*fault.File, string, error) {
+		dir := t.TempDir()
+		ss, err := NewSnapshotStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ss.Save(1, []byte("previous"), 2); err != nil {
+			t.Fatal(err)
+		}
+		var ff *fault.File
+		ss.Wrap = func(f File) File {
+			if rule == nil {
+				ff = fault.NewFile(f)
+			} else {
+				ff = fault.NewFile(f, *rule)
+			}
+			return ff
+		}
+		err = ss.Save(2, []byte("next snapshot"), 2)
+		return ff, dir, err
+	}
+	counter, _, err := save(t, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
-	c := NewCommitter(w, CommitterConfig{AckOnEnqueue: true})
-	for i := 0; i < 4; i++ {
-		if err := <-c.Commit(jsonInput.rec(t, i)); err != nil {
-			t.Fatalf("relaxed barrier %d: %v", i, err)
-		}
+	writes, syncs := counter.Counts()
+	if writes == 0 || syncs == 0 {
+		t.Fatalf("a save exercised no injection sites (writes=%d syncs=%d)", writes, syncs)
 	}
-	if err := c.Flush(); !errors.Is(err, fault.ErrIO) {
-		t.Fatalf("Flush = %v, want the injected EIO", err)
+	run := func(name string, rule fault.Rule) {
+		t.Run(name, func(t *testing.T) {
+			_, dir, err := save(t, &rule)
+			if !errors.Is(err, rule.Err) {
+				t.Fatalf("Save = %v, want %v", err, rule.Err)
+			}
+			ss, _ := NewSnapshotStore(dir)
+			if seq, got, ok, err := ss.Latest(); err != nil || !ok || seq != 1 || string(got) != "previous" {
+				t.Fatalf("latest = %d %q %v %v, want the previous snapshot", seq, got, ok, err)
+			}
+			ents, _ := os.ReadDir(dir)
+			if len(ents) != 1 {
+				t.Fatalf("directory holds %d files after the failed save, want 1", len(ents))
+			}
+		})
 	}
-	if !c.Poisoned() || c.Stats().SyncFailures == 0 {
-		t.Fatalf("stats = %+v, want poisoned with sync failures", c.Stats())
+	for i := uint64(1); i <= writes; i++ {
+		run(fmt.Sprintf("write%d-eio", i), fault.Rule{Op: fault.OpWrite, Nth: i, Err: fault.ErrIO, Short: -1})
+		run(fmt.Sprintf("write%d-enospc", i), fault.Rule{Op: fault.OpWrite, Nth: i, Err: fault.ErrNoSpace, Short: -1})
+		run(fmt.Sprintf("write%d-torn", i), fault.Rule{Op: fault.OpWrite, Nth: i, Err: fault.ErrIO, Short: 3})
 	}
-	if err := c.Close(); !errors.Is(err, fault.ErrIO) {
-		t.Fatalf("Close = %v, want the injected EIO", err)
-	}
-	// The acked-but-lost suffix is gone, but what survived is a prefix.
-	if got := recoveredPrefix(t, jsonInput, path); got > 4 {
-		t.Fatalf("recovered %d phantom records", got)
+	for i := uint64(1); i <= syncs; i++ {
+		run(fmt.Sprintf("sync%d-eio", i), fault.Rule{Op: fault.OpSync, Nth: i, Err: fault.ErrIO})
 	}
 }

@@ -1,8 +1,8 @@
 // Package storage is the persistence substrate of the central control
 // station (Fig. 3). The paper assumes durable authorization, movement and
 // profile databases without prescribing an engine; this package provides
-// one: an append-only write-ahead log with periodic snapshots and
-// crash recovery.
+// one: an append-only frame log with periodic snapshots and crash
+// recovery.
 //
 // Records are length-prefixed frames with a CRC32 checksum, so a torn
 // tail write (the classic crash case) is detected and truncated rather
@@ -55,116 +55,244 @@ type RecordObs struct {
 }
 
 // frame layout: 4-byte little-endian length, 4-byte CRC32 (IEEE) of the
-// body, body bytes.
+// body, body bytes. A replication stream ships frames in this layout, so
+// it is byte-compatible with the log it was read from.
 const frameHeader = 8
 
 // MaxFrameSize guards recovery against garbage length prefixes.
 const MaxFrameSize = 16 << 20
 
-// ErrCorrupt reports a framing or checksum error in the middle of a log
-// (as opposed to a torn tail, which is silently truncated).
+// ErrCorrupt reports a frame that passes its checksum but whose body
+// does not decode.
 var ErrCorrupt = errors.New("storage: corrupt log record")
 
-// File is the surface the WAL needs from its backing file. *os.File
+// ErrTooLarge reports a record whose frame body exceeds MaxFrameSize.
+var ErrTooLarge = errors.New("storage: record exceeds the frame limit")
+
+// File is the surface a Log needs from its backing file. *os.File
 // satisfies it; fault-injection tests substitute a wrapper that fails
-// chosen writes and syncs (see internal/fault) through OpenWALWith.
+// chosen writes and syncs (see internal/fault).
 type File interface {
 	io.Reader
 	io.Writer
-	io.Seeker
 	Sync() error
 	Truncate(size int64) error
 	Close() error
 }
 
-// WAL is an append-only write-ahead log. It is safe for concurrent use.
-// Every Append that returns nil has been fsynced.
-type WAL struct {
-	mu   sync.Mutex
-	f    File
-	w    *bufio.Writer
-	path string
-	// seq is the number of records ever appended (including recovered).
-	seq uint64
-	// pending counts frames written but not yet fsynced: zero after every
-	// successful Append, non-zero only when a flush or fsync failed.
-	pending int
+// DefaultRelayMaxBytes bounds a cache-policy log before it compacts
+// itself. Downstream readers behind the compaction get ErrSeqGap (410)
+// and re-bootstrap from this node — the self-heal path a primary's
+// compaction triggers.
+const DefaultRelayMaxBytes = 256 << 20
+
+// Log is an append-only frame log positioned in the global replication
+// sequence: base is the sequence of the file's first frame, and count
+// the frames in the file. A primary's WAL and a cascading follower's
+// relay log are both a Log; the constructor sets the policy:
+//
+//   - OpenWAL is the durable policy. It keeps the file's intact frames,
+//     truncating a torn tail, and fsyncs every Append, so an Append that
+//     returns nil is durable.
+//   - OpenCache is the cache policy, for a copy of a log that is durable
+//     elsewhere. It starts the file empty, never fsyncs, compacts itself
+//     once the file would pass DefaultRelayMaxBytes, and latches its
+//     first failure: a cache that lost a frame stops serving rather than
+//     serve a gap.
+//
+// Both publish their window under the lock Reset holds, which is what a
+// LogReader's read-then-recheck relies on. Safe for concurrent use;
+// readers open a LogReader on Path with Window.
+type Log struct {
+	mu      sync.Mutex
+	f       File
+	path    string
+	durable bool
+	base    uint64
+	count   uint64
+	// pending counts frames written but not fsynced: zero after every
+	// successful durable Append, non-zero only after a failed fsync.
+	pending uint64
+	// size is the file's length; maxBytes the cache policy's bound.
+	size, maxBytes int64
+	// err is the cache policy's latched failure.
+	err error
 	// buf is the reused encode buffer of Append.
 	buf []byte
 }
 
-// OpenWAL opens (creating if needed) the log at path.
-func OpenWAL(path string) (*WAL, error) {
-	return OpenWALWith(path, nil)
+// OpenWAL opens (creating if needed) the durable log at path, whose
+// first frame is global sequence base. When wrap is non-nil the opened
+// file is passed through it before any I/O — the fault-injection seam.
+func OpenWAL(path string, base uint64, wrap func(File) File) (*Log, error) {
+	l, err := openLog(path, base, wrap, os.O_RDWR)
+	if err != nil {
+		return nil, err
+	}
+	l.durable = true
+	// Keep the intact prefix; truncate a torn tail.
+	if l.size, l.count, err = scan(l.f, nil); err == nil {
+		err = l.f.Truncate(l.size)
+	}
+	if err != nil {
+		l.f.Close()
+		return nil, fmt.Errorf("storage: truncate torn tail: %w", err)
+	}
+	return l, nil
 }
 
-// OpenWALWith is OpenWAL with a file wrapper: when wrap is non-nil the
-// opened handle is passed through it before any I/O, so a caller can
-// interpose deterministic faults (or instrumentation) on every write,
-// sync, seek and truncate the log performs.
-func OpenWALWith(path string, wrap func(File) File) (*WAL, error) {
-	osf, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+// OpenCache creates (or empties) the cache-policy log at path, its
+// first frame at global sequence base. wrap is OpenWAL's.
+func OpenCache(path string, base uint64, wrap func(File) File) (*Log, error) {
+	l, err := openLog(path, base, wrap, os.O_WRONLY|os.O_TRUNC)
 	if err != nil {
-		return nil, fmt.Errorf("storage: open wal: %w", err)
+		return nil, err
+	}
+	l.maxBytes = DefaultRelayMaxBytes
+	return l, nil
+}
+
+func openLog(path string, base uint64, wrap func(File) File, flag int) (*Log, error) {
+	osf, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|flag, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("storage: open log: %w", err)
 	}
 	var f File = osf
 	if wrap != nil {
 		f = wrap(f)
 	}
-	w := &WAL{f: f, path: path}
-	// Scan to count records and find the valid end; truncate a torn tail.
-	end, n, err := scanLog(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Truncate(end); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("storage: truncate torn tail: %w", err)
-	}
-	if _, err := f.Seek(end, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	w.seq = n
-	w.w = bufio.NewWriter(f)
-	return w, nil
+	return &Log{f: f, path: path, base: base}, nil
 }
 
-// scanLog walks the frames of f from the start, returning the byte offset
-// after the last intact frame and the number of intact frames. A
-// malformed tail is reported as a truncation point, not an error; only a
-// checksum mismatch in a *complete* frame is ErrCorrupt.
-func scanLog(f File) (end int64, n uint64, err error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, 0, err
+// Path returns the log file's path — what readers open.
+func (l *Log) Path() string { return l.path }
+
+// fail returns err, latching it under the cache policy. A durable log
+// does not latch: its one writer, the Committer, does.
+func (l *Log) fail(err error) error {
+	if !l.durable {
+		l.err = err
 	}
-	r := bufio.NewReader(f)
-	var off int64
-	var hdr [frameHeader]byte
-	var body []byte
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return off, n, nil // clean EOF or torn header: stop here
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if length == 0 || length > MaxFrameSize {
-			return off, n, nil // garbage length: treat as torn tail
-		}
-		body = slices.Grow(body[:0], int(length))[:length]
-		if _, err := io.ReadFull(r, body); err != nil {
-			return off, n, nil // torn body
-		}
-		if crc32.ChecksumIEEE(body) != sum {
-			// A complete frame with a bad checksum is real corruption
-			// unless it is the final frame (torn overwrite); either way
-			// recovery stops here. Report position for operators.
-			return off, n, nil
-		}
-		off += frameHeader + int64(length)
-		n++
+	return err
+}
+
+// Append writes recs as one contiguous frame sequence under a single
+// lock acquisition and, under the durable policy, exactly one fsync: N
+// records cost one durable write instead of N. A crash mid-sequence
+// truncates to a frame boundary, so recovery replays an atomic prefix of
+// recs (see the crash tests). Under the cache policy an Append that
+// would grow the file past its bound first compacts it: the file is
+// emptied in place and base moves past every frame written so far,
+// whose effects are in this node's state, which a downstream bootstrap
+// captures.
+func (l *Log) Append(recs ...Record) error {
+	if len(recs) == 0 {
+		return nil
 	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.err != nil {
+		return l.err
+	}
+	buf := l.buf[:0]
+	for _, rec := range recs {
+		var err error
+		if buf, err = appendFrame(buf, rec); err != nil {
+			return l.fail(err)
+		}
+	}
+	if cap(buf) <= maxRetainedBuf {
+		l.buf = buf
+	}
+	if !l.durable && l.count > 0 && l.size+int64(len(buf)) > l.maxBytes {
+		if err := l.resetLocked(l.base + l.count); err != nil {
+			return err
+		}
+	}
+	if _, err := l.f.Write(buf); err != nil {
+		return l.fail(fmt.Errorf("storage: append: %w", err))
+	}
+	l.count += uint64(len(recs))
+	l.size += int64(len(buf))
+	if !l.durable {
+		return nil
+	}
+	l.pending += uint64(len(recs))
+	if err := l.f.Sync(); err != nil {
+		return err
+	}
+	l.pending = 0
+	return nil
+}
+
+// maxRetainedBuf bounds the encode buffer Append keeps between calls: a
+// batch of large admin records does not pin its buffer.
+const maxRetainedBuf = 1 << 20
+
+// Len returns the number of frames in the file.
+func (l *Log) Len() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.count
+}
+
+// Window reports the log's coordinates, a Window for its readers: base
+// is the compaction horizon (records below it need a bootstrap), and
+// total the frontier readers may read up to. Under the durable policy
+// total counts only fsynced frames: a frame a crash could retract must
+// not be shipped, or the primary could later rewrite that sequence with
+// a different record and a follower that applied the first would diverge
+// undetectably. Every Append fsyncs, so total reaches the written
+// frontier except after a failed fsync. Under the cache policy total is
+// the written frontier, and err the latched failure.
+func (l *Log) Window() (base, total uint64, err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.base, l.base + l.count - l.pending, l.err
+}
+
+// Reset empties the log in place and positions it at global sequence
+// base: after a snapshot compaction, a follower's re-bootstrap, or a
+// cache's self-compaction. The inode is reused, so an open reader sees
+// the shrink as ErrWALReset, and the new base is published under the
+// log's lock (see Window). The durable policy fsyncs the truncation.
+func (l *Log) Reset(base uint64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.err != nil {
+		return l.err
+	}
+	return l.resetLocked(base)
+}
+
+func (l *Log) resetLocked(base uint64) error {
+	if err := l.f.Truncate(0); err != nil {
+		return l.fail(fmt.Errorf("storage: reset: %w", err))
+	}
+	l.base, l.count, l.pending, l.size = base, 0, 0, 0
+	if l.durable {
+		return l.f.Sync()
+	}
+	return nil
+}
+
+var errLogClosed = errors.New("storage: log closed")
+
+// Close closes the file, fsyncing it under the durable policy. A closed
+// cache refuses further appends.
+func (l *Log) Close() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var err error
+	if l.durable {
+		err = l.f.Sync()
+	} else if l.err == nil {
+		l.err = errLogClosed
+	}
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // appendFrame appends rec in its wire form — header, then the body
@@ -177,168 +305,90 @@ func appendFrame(dst []byte, rec Record) ([]byte, error) {
 	}
 	body := dst[base+frameHeader:]
 	if len(body) > MaxFrameSize {
-		return dst[:base], fmt.Errorf("storage: record of %d bytes exceeds frame limit", len(body))
+		return dst[:base], fmt.Errorf("%w: %d bytes", ErrTooLarge, len(body))
 	}
 	binary.LittleEndian.PutUint32(dst[base:], uint32(len(body)))
 	binary.LittleEndian.PutUint32(dst[base+4:], crc32.ChecksumIEEE(body))
 	return dst, nil
 }
 
-// Append writes recs as one contiguous frame sequence under a single
-// lock acquisition and exactly one fsync: N records cost one durable
-// write instead of N. A crash mid-sequence truncates to a frame boundary,
-// so recovery replays an atomic prefix of recs (see the crash tests).
-func (w *WAL) Append(recs ...Record) error {
-	if len(recs) == 0 {
+// CheckRecord returns ErrTooLarge when rec's frame body would exceed
+// MaxFrameSize, without writing it, so a writer can refuse a mutation
+// before applying it. Encoding grows a byte to at most six (a JSON
+// escape) and adds the envelope's 19 bytes of keys and quotes, so a
+// record below a sixth of the limit is not encoded.
+func CheckRecord(rec Record) error {
+	if 6*(len(rec.Type)+len(rec.Data))+19 <= MaxFrameSize {
 		return nil
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	buf := w.buf[:0]
-	for _, rec := range recs {
-		var err error
-		if buf, err = appendFrame(buf, rec); err != nil {
-			return err
+	_, err := appendFrame(nil, rec)
+	return err
+}
+
+// frameSize reads a frame header: the whole frame's length, and whether
+// the length is one a writer produces. Anything else is a torn tail.
+func frameSize(hdr []byte) (int64, bool) {
+	n := binary.LittleEndian.Uint32(hdr)
+	return frameHeader + int64(n), n != 0 && n <= MaxFrameSize
+}
+
+// intact reports whether the whole frame fr passes its checksum.
+func intact(fr []byte) bool {
+	return crc32.ChecksumIEEE(fr[frameHeader:]) == binary.LittleEndian.Uint32(fr[4:])
+}
+
+// scan reads the frames of r from its current offset, handing each
+// intact body to fn (which must not retain it; nil only counts). It
+// stops without error at the first torn, garbage or checksum-failing
+// frame — recovery keeps the prefix before it — and returns the byte
+// length of the intact prefix and its frame count. An error of fn ends
+// the scan.
+func scan(r io.Reader, fn func(body []byte) error) (end int64, n uint64, err error) {
+	br := bufio.NewReader(r)
+	var fr []byte
+	for {
+		fr = slices.Grow(fr[:0], frameHeader)[:frameHeader]
+		if _, err := io.ReadFull(br, fr); err != nil {
+			return end, n, nil
 		}
+		size, ok := frameSize(fr)
+		if !ok {
+			return end, n, nil
+		}
+		fr = slices.Grow(fr, int(size)-frameHeader)[:size]
+		if _, err := io.ReadFull(br, fr[frameHeader:]); err != nil || !intact(fr) {
+			return end, n, nil
+		}
+		if fn != nil {
+			if err := fn(fr[frameHeader:]); err != nil {
+				return end, n, err
+			}
+		}
+		end += size
+		n++
 	}
-	if cap(buf) <= maxRetainedBuf {
-		w.buf = buf
-	}
-	if _, err := w.w.Write(buf); err != nil {
-		return err
-	}
-	w.seq += uint64(len(recs))
-	w.pending += len(recs)
-	return w.syncLocked()
 }
 
-// maxRetainedBuf bounds the encode buffer Append keeps between calls: a
-// batch of large admin records does not pin its buffer.
-const maxRetainedBuf = 1 << 20
-
-func (w *WAL) syncLocked() error {
-	if err := w.w.Flush(); err != nil {
-		return err
-	}
-	if err := w.f.Sync(); err != nil {
-		return err
-	}
-	w.pending = 0
-	return nil
-}
-
-// Len returns the number of records in the log.
-func (w *WAL) Len() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.seq
-}
-
-// DurableLen returns the number of records known to be fsynced. It is
-// the replication stream's upper bound: a record that is in the file
-// but not yet synced must not be shipped, because a crash could retract
-// it and the primary would then rewrite that sequence number with a
-// different record — a follower that applied the retracted one would
-// diverge undetectably. Every Append fsyncs, so the two lengths differ
-// only after a failed flush or fsync: the frames it left behind may be
-// in the file (or the page cache) but are not counted, even if the OS
-// later flushes them.
-func (w *WAL) DurableLen() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.seq - uint64(w.pending)
-}
-
-// Close flushes and closes the log.
-func (w *WAL) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.syncLocked(); err != nil {
-		w.f.Close()
-		return err
-	}
-	return w.f.Close()
-}
-
-// Replay reads every intact record from the log at path in append order.
-// It opens the file read-only and does not truncate.
+// Replay reads every intact record from the log at path in append order
+// and returns how many fn took. It opens the file read-only and does not
+// truncate; a missing file replays nothing.
 func Replay(path string, fn func(Record) error) (uint64, error) {
-	st, err := ReplayTail(path, fn)
-	return st.NextSeq, err
-}
-
-// ReplayTail is Replay, but it additionally reports where the scan
-// stopped: the byte offset after the last intact frame and whether a
-// trailing partial frame follows it. A tailer handed TailState.Offset
-// can re-read the partial frame once the writer finishes it, instead of
-// the offset being silently swallowed (the pre-replication behavior).
-func ReplayTail(path string, fn func(Record) error) (TailState, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return TailState{}, nil
+			return 0, nil
 		}
-		return TailState{}, err
+		return 0, err
 	}
 	defer f.Close()
-	size := int64(0)
-	if fi, err := f.Stat(); err == nil {
-		size = fi.Size()
-	}
-	r := bufio.NewReader(f)
-	var st TailState
-	stop := func() TailState {
-		st.PartialBytes = size - st.Offset
-		st.Partial = st.PartialBytes > 0
-		return st
-	}
-	var hdr [frameHeader]byte
-	var body []byte // reused: DecodeRecord copies what it keeps
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return stop(), nil
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if length == 0 || length > MaxFrameSize {
-			return stop(), nil
-		}
-		body = slices.Grow(body[:0], int(length))[:length]
-		if _, err := io.ReadFull(r, body); err != nil {
-			return stop(), nil
-		}
-		if crc32.ChecksumIEEE(body) != sum {
-			return stop(), nil
-		}
+	_, n, err := scan(f, func(body []byte) error {
 		rec, err := DecodeRecord(body)
 		if err != nil {
-			return stop(), err
+			return err
 		}
-		if err := fn(rec); err != nil {
-			return stop(), err
-		}
-		st.NextSeq++
-		st.Offset += frameHeader + int64(length)
-	}
-}
-
-// Truncate resets the log to empty (used after a snapshot compaction).
-func (w *WAL) Truncate() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.w.Flush(); err != nil {
-		return err
-	}
-	if err := w.f.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	w.seq = 0
-	w.pending = 0
-	w.w.Reset(w.f)
-	return w.f.Sync()
+		return fn(rec)
+	})
+	return n, err
 }
 
 // --- Snapshots -------------------------------------------------------

@@ -22,7 +22,7 @@ func rec(t *testing.T, typ string, v any) Record {
 
 func TestWALAppendReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, err := OpenWAL(path)
+	w, err := OpenWAL(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,10 +62,10 @@ func TestWALAppendReplay(t *testing.T) {
 
 func TestWALReopenContinues(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, _ := OpenWAL(path)
+	w, _ := OpenWAL(path, 0, nil)
 	_ = w.Append(rec(t, "a", 1))
 	_ = w.Close()
-	w, err := OpenWAL(path)
+	w, err := OpenWAL(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestWALReopenContinues(t *testing.T) {
 
 func TestWALTornTailTruncated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, _ := OpenWAL(path)
+	w, _ := OpenWAL(path, 0, nil)
 	_ = w.Append(rec(t, "a", 1))
 	_ = w.Append(rec(t, "a", 2))
 	_ = w.Close()
@@ -97,7 +97,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 		t.Fatalf("replay after tear: %d, %v", n, err)
 	}
 	// Reopen truncates the tear and appends cleanly after it.
-	w, err = OpenWAL(path)
+	w, err = OpenWAL(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 
 func TestWALGarbageTailIgnored(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, _ := OpenWAL(path)
+	w, _ := OpenWAL(path, 0, nil)
 	_ = w.Append(rec(t, "a", 1))
 	_ = w.Close()
 	// Append garbage bytes (e.g. a corrupt header with a huge length).
@@ -131,7 +131,7 @@ func TestWALGarbageTailIgnored(t *testing.T) {
 	if err != nil || n != 1 {
 		t.Fatalf("replay = %d, %v", n, err)
 	}
-	w, err = OpenWAL(path)
+	w, err = OpenWAL(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestWALGarbageTailIgnored(t *testing.T) {
 
 func TestWALCorruptChecksumStopsReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, _ := OpenWAL(path)
+	w, _ := OpenWAL(path, 0, nil)
 	_ = w.Append(rec(t, "a", 1))
 	_ = w.Append(rec(t, "a", 2))
 	_ = w.Close()
@@ -162,13 +162,13 @@ func TestWALCorruptChecksumStopsReplay(t *testing.T) {
 
 func TestWALTruncate(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, _ := OpenWAL(path)
+	w, _ := OpenWAL(path, 0, nil)
 	_ = w.Append(rec(t, "a", 1))
-	if err := w.Truncate(); err != nil {
+	if err := w.Reset(1); err != nil {
 		t.Fatal(err)
 	}
-	if w.Len() != 0 {
-		t.Errorf("len = %d", w.Len())
+	if base, total, err := w.Window(); w.Len() != 0 || base != 1 || total != 1 || err != nil {
+		t.Errorf("len = %d, window = (%d, %d, %v), want 0 and (1, 1, nil)", w.Len(), base, total, err)
 	}
 	_ = w.Append(rec(t, "a", 2))
 	_ = w.Close()

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/authz"
@@ -77,21 +76,16 @@ func TestDecodeCoversEveryRecordType(t *testing.T) {
 		"tick":           KindTick,
 	}
 
-	tail, err := storage.OpenTailer(sys.WALPath())
-	if err != nil {
+	var recs []storage.Record
+	if _, err := storage.Replay(sys.WALPath(), func(rec storage.Record) error {
+		recs = append(recs, rec)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	defer tail.Close()
 	seen := map[string]bool{}
 	var seq uint64
-	for {
-		rec, err := tail.Next()
-		if errors.Is(err, storage.ErrNoRecord) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, rec := range recs {
 		ev, err := DecodeEvent(seq, rec)
 		if err != nil {
 			t.Fatalf("decode %s at seq %d: %v", rec.Type, seq, err)
@@ -116,20 +110,8 @@ func TestDecodeCoversEveryRecordType(t *testing.T) {
 	}
 
 	// Summary fields: spot-check the kinds subscribers filter on.
-	tail2, err := storage.OpenTailer(sys.WALPath())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tail2.Close()
 	seq = 0
-	for {
-		rec, err := tail2.Next()
-		if errors.Is(err, storage.ErrNoRecord) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, rec := range recs {
 		ev, _ := DecodeEvent(seq, rec)
 		seq++
 		switch ev.Kind {

@@ -66,8 +66,7 @@ type Ack struct {
 	// Seq is the primary's durable record sequence
 	// (ReplicationInfo.TotalSeq) after the chunk's commit barrier: the
 	// prefix of the global history this connection's acked frames are
-	// part of. With RelaxedDurability the barrier acks at enqueue, and
-	// Seq inherits that weaker meaning.
+	// part of.
 	Seq uint64 `json:"seq"`
 	// Granted/Denied count Def.-7 entry decisions; Moved counts readings
 	// that produced a movement; Errors counts per-reading application

@@ -9,8 +9,8 @@
 // streams inherit the log's crash contract: a frame is delivered if and
 // only if it arrived complete and checksum-valid. A cut mid-frame
 // (header, body, or a checksum that does not match) ends the input at
-// the last complete frame — the same torn-tail stance storage.Tailer
-// takes on the log file itself.
+// the last complete frame — the same torn-tail stance
+// storage.LogReader and recovery take on the log file itself.
 //
 // Stream frames (observe, ack, event) put a one-byte type tag first in
 // the body; payloads are fixed-width little-endian scalars plus
