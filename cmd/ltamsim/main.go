@@ -257,7 +257,7 @@ func runStream(base string, wf wire.WireFormat, side, users, steps int, seed int
 				}
 			}
 		}()
-		ro, err := wire.NewClient("http://" + prox.Addr()).StreamObserveResumable(context.Background(), wf)
+		ro, err := wire.NewClient("http://"+prox.Addr()).StreamObserveResumable(context.Background(), wf)
 		if err != nil {
 			logger.Fatalf("open resumable ingest stream: %v", err)
 		}

@@ -7,6 +7,8 @@ package audit
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 
@@ -86,11 +88,17 @@ type Subscriber func(Alert)
 // Log is a bounded in-memory alert log with subscriptions. It is safe for
 // concurrent use.
 type Log struct {
-	mu      sync.RWMutex
-	alerts  []Alert
+	mu sync.RWMutex
+	// ring holds the retained alerts: it grows to limit, then each alert
+	// overwrites the oldest, ring[head].
+	ring    []Alert
+	head    int
 	nextSeq uint64
 	limit   int
 	subs    map[uint64]Subscriber
+	// notify is subs as a list, rebuilt when a subscription changes and
+	// never written in place, so Raise can call it outside the lock.
+	notify  []Subscriber
 	nextSub uint64
 }
 
@@ -119,10 +127,12 @@ func (l *Log) Subscribe(s Subscriber) (cancel func()) {
 	id := l.nextSub
 	l.nextSub++
 	l.subs[id] = s
+	l.notify = slices.Collect(maps.Values(l.subs))
 	return func() {
 		l.mu.Lock()
 		defer l.mu.Unlock()
 		delete(l.subs, id)
+		l.notify = slices.Collect(maps.Values(l.subs))
 	}
 }
 
@@ -132,63 +142,64 @@ func (l *Log) Raise(a Alert) Alert {
 	l.mu.Lock()
 	a.Seq = l.nextSeq
 	l.nextSeq++
-	l.alerts = append(l.alerts, a)
-	if len(l.alerts) > l.limit {
-		l.alerts = l.alerts[len(l.alerts)-l.limit:]
+	if len(l.ring) < l.limit {
+		l.ring = append(l.ring, a)
+	} else {
+		l.ring[l.head] = a
+		l.head = (l.head + 1) % l.limit
 	}
-	subs := make([]Subscriber, 0, len(l.subs))
-	for _, s := range l.subs {
-		subs = append(subs, s)
-	}
+	notify := l.notify
 	l.mu.Unlock()
-	for _, s := range subs {
+	for _, s := range notify {
 		s(a)
 	}
 	return a
+}
+
+// at returns the i-th retained alert, oldest first.
+func (l *Log) at(i int) *Alert { return &l.ring[(l.head+i)%len(l.ring)] }
+
+// filter returns the retained alerts keep accepts, oldest first.
+func (l *Log) filter(keep func(*Alert) bool) []Alert {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	var out []Alert
+	for i := range l.ring {
+		if a := l.at(i); keep(a) {
+			out = append(out, *a)
+		}
+	}
+	return out
 }
 
 // All returns the retained alerts in order.
 func (l *Log) All() []Alert {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	out := make([]Alert, len(l.alerts))
-	copy(out, l.alerts)
-	return out
+	out := make([]Alert, 0, len(l.ring))
+	out = append(out, l.ring[l.head:]...)
+	return append(out, l.ring[:l.head]...)
 }
 
 // ByKind returns retained alerts of the given kind.
 func (l *Log) ByKind(k Kind) []Alert {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	var out []Alert
-	for _, a := range l.alerts {
-		if a.Kind == k {
-			out = append(out, a)
-		}
-	}
-	return out
+	return l.filter(func(a *Alert) bool { return a.Kind == k })
 }
 
 // BySubject returns retained alerts concerning the given subject.
 func (l *Log) BySubject(s profile.SubjectID) []Alert {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	var out []Alert
-	for _, a := range l.alerts {
-		if a.Subject == s {
-			out = append(out, a)
-		}
-	}
-	return out
+	return l.filter(func(a *Alert) bool { return a.Subject == s })
 }
 
 // Since returns retained alerts with Seq > seq.
 func (l *Log) Since(seq uint64) []Alert {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	i := sort.Search(len(l.alerts), func(i int) bool { return l.alerts[i].Seq > seq })
-	out := make([]Alert, len(l.alerts)-i)
-	copy(out, l.alerts[i:])
+	i := sort.Search(len(l.ring), func(i int) bool { return l.at(i).Seq > seq })
+	out := make([]Alert, 0, len(l.ring)-i)
+	for ; i < len(l.ring); i++ {
+		out = append(out, *l.at(i))
+	}
 	return out
 }
 
@@ -209,8 +220,8 @@ func (l *Log) LastSeq() uint64 {
 func (l *Log) OldestRetained() uint64 {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	if len(l.alerts) > 0 {
-		return l.alerts[0].Seq
+	if len(l.ring) > 0 {
+		return l.at(0).Seq
 	}
 	return l.nextSeq
 }
@@ -219,7 +230,7 @@ func (l *Log) OldestRetained() uint64 {
 func (l *Log) Len() int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return len(l.alerts)
+	return len(l.ring)
 }
 
 // Counts returns the number of retained alerts per kind.
@@ -227,8 +238,8 @@ func (l *Log) Counts() map[Kind]int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	out := make(map[Kind]int)
-	for _, a := range l.alerts {
-		out[a.Kind]++
+	for i := range l.ring {
+		out[l.ring[i].Kind]++
 	}
 	return out
 }

@@ -122,3 +122,57 @@ func TestAllReturnsCopy(t *testing.T) {
 		t.Error("All must return a copy")
 	}
 }
+
+// TestRingAtLimit walks the log across its limit: before, at and past
+// it, every reader sees the newest limit alerts, oldest first.
+func TestRingAtLimit(t *testing.T) {
+	const limit = 4
+	l := NewLog(limit)
+	for n := 1; n <= 3*limit+1; n++ {
+		kind := DeniedRequest
+		if n%2 == 0 {
+			kind = Overstay
+		}
+		l.Raise(Alert{Kind: kind})
+		first := uint64(max(1, n-limit+1))
+		all := l.All()
+		if len(all) != n-int(first)+1 || l.Len() != len(all) || l.OldestRetained() != first || l.LastSeq() != uint64(n) {
+			t.Fatalf("after %d alerts: %d retained (len %d), oldest %d, last %d", n, len(all), l.Len(), l.OldestRetained(), l.LastSeq())
+		}
+		for i, a := range all {
+			if a.Seq != first+uint64(i) {
+				t.Fatalf("after %d alerts: alert %d has seq %d, want %d", n, i, a.Seq, first+uint64(i))
+			}
+		}
+		if got := l.Since(uint64(max(0, n-2))); len(got) != min(2, n) || got[len(got)-1].Seq != uint64(n) {
+			t.Fatalf("after %d alerts: since %d = %v", n, n-2, got)
+		}
+		overstays := l.ByKind(Overstay)
+		if got := l.Counts()[Overstay]; got != len(overstays) {
+			t.Fatalf("after %d alerts: %d overstays counted, %d listed", n, got, len(overstays))
+		}
+		for i := 1; i < len(overstays); i++ {
+			if overstays[i].Seq != overstays[i-1].Seq+2 {
+				t.Fatalf("after %d alerts: overstays out of order: %v", n, overstays)
+			}
+		}
+	}
+}
+
+// TestRaiseAllocs: at the limit with no subscribers, raising an alert
+// overwrites the oldest in place and allocates nothing — not even now and
+// then, as a log that re-slices past its oldest alert must.
+func TestRaiseAllocs(t *testing.T) {
+	const limit = 8
+	l := NewLog(limit)
+	for range limit {
+		l.Raise(Alert{Kind: DeniedRequest})
+	}
+	cancel := l.Subscribe(func(Alert) {})
+	cancel()
+	for i := range 3 * limit {
+		if allocs := testing.AllocsPerRun(1, func() { l.Raise(Alert{Kind: DeniedRequest, Subject: "alice"}) }); allocs != 0 {
+			t.Fatalf("raise %d past the limit: %.0f allocations", i, allocs)
+		}
+	}
+}

@@ -11,6 +11,27 @@ import (
 	"repro/internal/storage"
 )
 
+// TestReplicaCloseClosesRelay: closing a cascading follower closes its
+// relay log, so the file descriptor does not outlive the follower.
+func TestReplicaCloseClosesRelay(t *testing.T) {
+	sys, _, _, _ := stressReplicaSite(t, 2)
+	defer sys.Close()
+	rep, err := NewReplica(&LogSource{Node: sys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.EnableRelay(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	relay := rep.relay
+	if err := rep.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := relay.Append(storage.Record{Type: "profile.put", Data: []byte("{}")}); !errors.Is(err, storage.ErrClosed) {
+		t.Fatalf("append to the relay after Close: %v, want %v", err, storage.ErrClosed)
+	}
+}
+
 // TestRelayWriteFailureStopsServing: a cascading follower's relay fails
 // its third write through the file seam the WAL's fault matrix uses. The
 // failure latches: the served window reports it, so the node stops

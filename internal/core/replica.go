@@ -672,8 +672,18 @@ func (s *System) rebootstrap(snap snapshotState) error {
 	return nil
 }
 
-// Close shuts the follower System down.
-func (r *Replica) Close() error { return r.sys.Close() }
+// Close shuts the follower System down and closes its relay log.
+func (r *Replica) Close() error {
+	err := r.sys.Close()
+	r.applyMu.Lock()
+	defer r.applyMu.Unlock()
+	if r.relay != nil {
+		if cerr := r.relay.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
 
 // storeMax advances a monotonic atomic to at least v.
 func storeMax(a *atomic.Uint64, v uint64) {

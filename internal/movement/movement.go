@@ -6,9 +6,10 @@
 package movement
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/authz"
@@ -39,7 +40,10 @@ func (k EventKind) String() string {
 
 // Event is one recorded movement.
 type Event struct {
-	// Seq is the log sequence number, assigned by the database.
+	// Seq is the event's place in the log, from 1. RecordEnter and
+	// RecordExit return the number of events recorded so far; Events
+	// numbers the log it derives, in which same-time events of different
+	// subjects follow stint order, so the two can differ for such events.
 	Seq uint64
 	// Time is the logical time the movement happened.
 	Time interval.Time
@@ -84,28 +88,84 @@ var (
 	ErrTimeRegress   = errors.New("movement: event time precedes an earlier event")
 )
 
+// none marks an empty open-stint slot and the end of a back-chain.
+const none = ^uint32(0)
+
+// Rows live in fixed chunks of chunkSize: the history grows without
+// copying, and its unused capacity stays under one chunk.
+const (
+	chunkBits = 10
+	chunkSize = 1 << chunkBits
+)
+
+// row is one stint. It holds no pointer, so the garbage collector never
+// scans the history; names are interned in the subject and location
+// tables. Two back-chains run through the rows: prev links a subject's
+// stints in one location (Definition 7's entry count walks it), and
+// prevOfSubject links all of a subject's stints.
+type row struct {
+	enter, exit   interval.Time // exit is interval.Inf while open
+	auth          authz.ID
+	subject       uint32
+	location      uint32
+	prev          uint32
+	prevOfSubject uint32
+}
+
+type subjectState struct {
+	id   profile.SubjectID
+	open uint32 // the stint the subject is inside, or none
+	last uint32 // the subject's newest stint, or none
+}
+
+type locationState struct {
+	id   graph.ID
+	rows []uint32 // the stints in the location, oldest first
+}
+
 // DB is the movement database. It is safe for concurrent use.
+//
+// It keeps one row per stint and no event list: the log that Events
+// returns is derived from the rows.
 type DB struct {
-	mu            sync.RWMutex
-	events        []Event
-	nextSeq       uint64
-	lastTime      interval.Time
-	stints        []Stint
-	openBySubject map[profile.SubjectID]int // index into stints
-	bySubject     map[profile.SubjectID][]int
-	byLocation    map[graph.ID][]int
+	mu          sync.RWMutex
+	chunks      [][]row
+	nrows       uint32
+	nevents     uint64
+	lastTime    interval.Time
+	subjectIdx  map[profile.SubjectID]uint32
+	subjects    []subjectState
+	locationIdx map[graph.ID]uint32
+	locations   []locationState
+	// lastEntry maps pairKey(subject, location) to the subject's newest
+	// stint there: the head of that pair's prev chain.
+	lastEntry map[uint64]uint32
 }
 
 // NewDB returns an empty movement database.
 func NewDB() *DB {
 	return &DB{
-		nextSeq:       1,
-		lastTime:      interval.MinTime,
-		openBySubject: make(map[profile.SubjectID]int),
-		bySubject:     make(map[profile.SubjectID][]int),
-		byLocation:    make(map[graph.ID][]int),
+		lastTime:    interval.MinTime,
+		subjectIdx:  make(map[profile.SubjectID]uint32),
+		locationIdx: make(map[graph.ID]uint32),
+		lastEntry:   make(map[uint64]uint32),
 	}
 }
+
+func pairKey(s, l uint32) uint64 { return uint64(s)<<32 | uint64(l) }
+
+func (db *DB) row(r uint32) *row { return &db.chunks[r>>chunkBits][r&(chunkSize-1)] }
+
+// stint renders row r; every reader of the history goes through it.
+func (db *DB) stint(r uint32) Stint {
+	w := db.row(r)
+	return Stint{
+		Subject: db.subjects[w.subject].id, Location: db.locations[w.location].id,
+		Enter: w.enter, Exit: w.exit, Auth: w.auth,
+	}
+}
+
+func (w *row) presence() interval.Interval { return interval.New(w.enter, w.exit) }
 
 // RecordEnter logs subject s entering location l at time t under the
 // given authorization (zero when the entry was not granted). The database
@@ -121,16 +181,44 @@ func (db *DB) RecordEnter(t interval.Time, s profile.SubjectID, l graph.ID, auth
 	if t < db.lastTime {
 		return Event{}, fmt.Errorf("%w: %s < %s", ErrTimeRegress, t, db.lastTime)
 	}
-	if idx, inside := db.openBySubject[s]; inside {
-		return Event{}, fmt.Errorf("%w: %s is in %s", ErrAlreadyInside, s, db.stints[idx].Location)
+	si, known := db.subjectIdx[s]
+	if known && db.subjects[si].open != none {
+		return Event{}, fmt.Errorf("%w: %s is in %s", ErrAlreadyInside, s, db.stint(db.subjects[si].open).Location)
 	}
-	ev := db.appendLocked(Event{Time: t, Subject: s, Location: l, Kind: Enter, Auth: auth})
-	idx := len(db.stints)
-	db.stints = append(db.stints, Stint{Subject: s, Location: l, Enter: t, Exit: interval.Inf, Auth: auth})
-	db.openBySubject[s] = idx
-	db.bySubject[s] = append(db.bySubject[s], idx)
-	db.byLocation[l] = append(db.byLocation[l], idx)
-	return ev, nil
+	if db.nrows == none {
+		return Event{}, errors.New("movement: history full")
+	}
+	if !known {
+		si = uint32(len(db.subjects))
+		db.subjectIdx[s] = si
+		db.subjects = append(db.subjects, subjectState{id: s, open: none, last: none})
+	}
+	li, known := db.locationIdx[l]
+	if !known {
+		li = uint32(len(db.locations))
+		db.locationIdx[l] = li
+		db.locations = append(db.locations, locationState{id: l})
+	}
+	r, key := db.nrows, pairKey(si, li)
+	prev, seen := db.lastEntry[key]
+	if !seen {
+		prev = none
+	}
+	sub := &db.subjects[si]
+	if c := len(db.chunks) - 1; c < 0 || len(db.chunks[c]) == chunkSize {
+		var next []row // the first chunk grows by append, so a small history stays small
+		if c >= 0 {
+			next = make([]row, 0, chunkSize)
+		}
+		db.chunks = append(db.chunks, next)
+	}
+	c := &db.chunks[len(db.chunks)-1]
+	*c = append(*c, row{enter: t, exit: interval.Inf, auth: auth, subject: si, location: li, prev: prev, prevOfSubject: sub.last})
+	db.nrows++
+	sub.open, sub.last = r, r
+	db.lastEntry[key] = r
+	db.locations[li].rows = append(db.locations[li].rows, r)
+	return Event{Seq: db.logged(t), Time: t, Subject: s, Location: l, Kind: Enter, Auth: auth}, nil
 }
 
 // RecordExit logs subject s leaving its current location at time t and
@@ -141,74 +229,116 @@ func (db *DB) RecordExit(t interval.Time, s profile.SubjectID) (Event, Stint, er
 	if t < db.lastTime {
 		return Event{}, Stint{}, fmt.Errorf("%w: %s < %s", ErrTimeRegress, t, db.lastTime)
 	}
-	idx, inside := db.openBySubject[s]
-	if !inside {
+	si, known := db.subjectIdx[s]
+	if !known || db.subjects[si].open == none {
 		return Event{}, Stint{}, fmt.Errorf("%w: %s", ErrNotInside, s)
 	}
-	st := &db.stints[idx]
-	st.Exit = t
-	delete(db.openBySubject, s)
-	ev := db.appendLocked(Event{Time: t, Subject: s, Location: st.Location, Kind: Exit, Auth: st.Auth})
-	return ev, *st, nil
+	r := db.subjects[si].open
+	db.subjects[si].open = none
+	db.row(r).exit = t
+	st := db.stint(r)
+	return Event{Seq: db.logged(t), Time: t, Subject: s, Location: st.Location, Kind: Exit, Auth: st.Auth}, st, nil
 }
 
-func (db *DB) appendLocked(ev Event) Event {
-	ev.Seq = db.nextSeq
-	db.nextSeq++
-	db.lastTime = ev.Time
-	db.events = append(db.events, ev)
-	return ev
+// logged counts one more event at time t and returns its number.
+func (db *DB) logged(t interval.Time) uint64 {
+	db.nevents++
+	db.lastTime = t
+	return db.nevents
 }
 
 // CurrentLocation returns where subject s currently is.
 func (db *DB) CurrentLocation(s profile.SubjectID) (graph.ID, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	idx, inside := db.openBySubject[s]
-	if !inside {
+	si, known := db.subjectIdx[s]
+	if !known || db.subjects[si].open == none {
 		return "", false
 	}
-	return db.stints[idx].Location, true
+	return db.locations[db.row(db.subjects[si].open).location].id, true
 }
 
 // Occupants returns the subjects currently inside location l, sorted.
 func (db *DB) Occupants(l graph.ID) []profile.SubjectID {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	var out []profile.SubjectID
-	for s, idx := range db.openBySubject {
-		if db.stints[idx].Location == l {
-			out = append(out, s)
+	for _, st := range db.OpenStints() {
+		if st.Location == l {
+			out = append(out, st.Subject)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // EntryCount returns how many times subject s entered location l with
 // entry time inside window — the count Definition 7 compares against n.
+// It walks the pair's stints from the newest back to window.Start, so
+// its cost is the entries since the window opened, not the history.
 func (db *DB) EntryCount(s profile.SubjectID, l graph.ID, window interval.Interval) int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	if window.IsEmpty() {
+		return 0
+	}
 	n := 0
-	for _, idx := range db.bySubject[s] {
-		st := db.stints[idx]
-		if st.Location == l && window.Contains(st.Enter) {
+	for r := db.newestIn(s, l); r != none && db.row(r).enter >= window.Start; r = db.row(r).prev {
+		if db.row(r).enter <= window.End {
 			n++
 		}
 	}
 	return n
 }
 
+// newestIn returns subject s's newest stint in location l, or none: the
+// head of the pair's prev chain.
+func (db *DB) newestIn(s profile.SubjectID, l graph.ID) uint32 {
+	si, sok := db.subjectIdx[s]
+	li, lok := db.locationIdx[l]
+	if r, ok := db.lastEntry[pairKey(si, li)]; ok && sok && lok {
+		return r
+	}
+	return none
+}
+
+// subjectRows returns the rows of subject s, newest first.
+func (db *DB) subjectRows(s profile.SubjectID) []uint32 {
+	si, known := db.subjectIdx[s]
+	if !known {
+		return nil
+	}
+	var out []uint32
+	for r := db.subjects[si].last; r != none; r = db.row(r).prevOfSubject {
+		out = append(out, r)
+	}
+	return out
+}
+
 // History returns all stints of subject s in chronological order.
 func (db *DB) History(s profile.SubjectID) []Stint {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	out := make([]Stint, 0, len(db.bySubject[s]))
-	for _, idx := range db.bySubject[s] {
-		out = append(out, db.stints[idx])
+	rows := db.subjectRows(s)
+	out := make([]Stint, len(rows))
+	for i, r := range rows {
+		out[len(rows)-1-i] = db.stint(r)
 	}
 	return out
+}
+
+// locationRows returns the rows of location l entered by time end,
+// oldest first: the only ones that can be present at or before end.
+func (db *DB) locationRows(l graph.ID, end interval.Time) []uint32 {
+	li, known := db.locationIdx[l]
+	if !known {
+		return nil
+	}
+	rows := db.locations[li].rows
+	n, _ := slices.BinarySearchFunc(rows, end, func(r uint32, end interval.Time) int {
+		if db.row(r).enter <= end {
+			return -1
+		}
+		return 1
+	})
+	return rows[:n]
 }
 
 // StintsIn returns the stints in location l whose presence interval
@@ -217,10 +347,9 @@ func (db *DB) StintsIn(l graph.ID, window interval.Interval) []Stint {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var out []Stint
-	for _, idx := range db.byLocation[l] {
-		st := db.stints[idx]
-		if st.Interval().Overlaps(window) {
-			out = append(out, st)
+	for _, r := range db.locationRows(l, window.End) {
+		if db.row(r).presence().Overlaps(window) {
+			out = append(out, db.stint(r))
 		}
 	}
 	return out
@@ -237,7 +366,7 @@ func (db *DB) WhoWasIn(l graph.ID, window interval.Interval) []profile.SubjectID
 	for s := range seen {
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -250,48 +379,69 @@ func (db *DB) ContactsOf(s profile.SubjectID, window interval.Interval) []Contac
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var out []Contact
-	for _, idx := range db.bySubject[s] {
-		mine := db.stints[idx]
-		span := mine.Interval().Intersect(window)
+	for _, r := range db.subjectRows(s) {
+		mine := db.row(r)
+		if mine.exit < window.Start {
+			break // the subject's earlier stints all ended before this one
+		}
+		span := mine.presence().Intersect(window)
 		if span.IsEmpty() {
 			continue
 		}
-		for _, oidx := range db.byLocation[mine.Location] {
-			other := db.stints[oidx]
-			if other.Subject == s {
+		for _, o := range db.locationRows(db.locations[mine.location].id, span.End) {
+			other := db.row(o)
+			if other.subject == mine.subject {
 				continue
 			}
-			overlap := other.Interval().Intersect(span)
-			if !overlap.IsEmpty() {
-				out = append(out, Contact{Other: other.Subject, Location: mine.Location, Overlap: overlap})
+			if overlap := other.presence().Intersect(span); !overlap.IsEmpty() {
+				out = append(out, Contact{Other: db.subjects[other.subject].id, Location: db.locations[mine.location].id, Overlap: overlap})
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Overlap.Start != out[j].Overlap.Start {
-			return out[i].Overlap.Start < out[j].Overlap.Start
-		}
-		return out[i].Other < out[j].Other
+	slices.SortFunc(out, func(a, b Contact) int {
+		return cmp.Or(cmp.Compare(a.Overlap.Start, b.Overlap.Start), cmp.Compare(a.Other, b.Other),
+			cmp.Compare(a.Location, b.Location), cmp.Compare(a.Overlap.End, b.Overlap.End))
 	})
 	return out
 }
 
-// Events returns a copy of the whole movement log.
+// Events returns the movement log, derived from the stints: each stint
+// contributes its enter and, once closed, its exit. Events are ordered by
+// time, then by stint, enter before exit. A subject's own events keep
+// their recorded order under this key — its exit from a room precedes
+// its next entry at the same time, because that entry is a later stint —
+// so the derived log replays through the strict Restore.
 func (db *DB) Events() []Event {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	out := make([]Event, len(db.events))
-	copy(out, db.events)
-	return out
-}
-
-// EventsSince returns events with Seq > seq, for incremental consumers.
-func (db *DB) EventsSince(seq uint64) []Event {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	i := sort.Search(len(db.events), func(i int) bool { return db.events[i].Seq > seq })
-	out := make([]Event, len(db.events)-i)
-	copy(out, db.events[i:])
+	exits := make([]uint32, 0, db.nevents-uint64(db.nrows))
+	for r := range db.nrows {
+		if db.row(r).exit != interval.Inf {
+			exits = append(exits, r)
+		}
+	}
+	slices.SortFunc(exits, func(a, b uint32) int {
+		return cmp.Or(cmp.Compare(db.row(a).exit, db.row(b).exit), cmp.Compare(a, b))
+	})
+	out := make([]Event, 0, db.nevents)
+	// Entries are already in (time, stint) order: stints are numbered as
+	// they are entered, and entry times never decrease.
+	for enter := uint32(0); enter < db.nrows || len(exits) > 0; {
+		ev := Event{Seq: uint64(len(out)) + 1, Kind: Enter}
+		r := enter
+		if len(exits) > 0 && (enter == db.nrows || db.row(exits[0]).exit < db.row(enter).enter ||
+			db.row(exits[0]).exit == db.row(enter).enter && exits[0] < enter) {
+			r, ev.Kind, exits = exits[0], Exit, exits[1:]
+		} else {
+			enter++
+		}
+		st := db.stint(r)
+		ev.Time, ev.Subject, ev.Location, ev.Auth = st.Enter, st.Subject, st.Location, st.Auth
+		if ev.Kind == Exit {
+			ev.Time = st.Exit
+		}
+		out = append(out, ev)
+	}
 	return out
 }
 
@@ -299,7 +449,7 @@ func (db *DB) EventsSince(seq uint64) []Event {
 func (db *DB) Len() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return len(db.events)
+	return int(db.nevents)
 }
 
 // LastTime returns the time of the most recent event, or interval.MinTime
@@ -315,11 +465,13 @@ func (db *DB) LastTime() interval.Time {
 func (db *DB) OpenStints() []Stint {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	out := make([]Stint, 0, len(db.openBySubject))
-	for _, idx := range db.openBySubject {
-		out = append(out, db.stints[idx])
+	var out []Stint
+	for _, sub := range db.subjects {
+		if sub.open != none {
+			out = append(out, db.stint(sub.open))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Subject < out[j].Subject })
+	slices.SortFunc(out, func(a, b Stint) int { return cmp.Compare(a.Subject, b.Subject) })
 	return out
 }
 
@@ -349,12 +501,9 @@ func (db *DB) Restore(events []Event) error {
 	defer db.mu.Unlock()
 	fresh.mu.Lock()
 	defer fresh.mu.Unlock()
-	db.events = fresh.events
-	db.nextSeq = fresh.nextSeq
-	db.lastTime = fresh.lastTime
-	db.stints = fresh.stints
-	db.openBySubject = fresh.openBySubject
-	db.bySubject = fresh.bySubject
-	db.byLocation = fresh.byLocation
+	db.chunks, db.nrows, db.nevents, db.lastTime = fresh.chunks, fresh.nrows, fresh.nevents, fresh.lastTime
+	db.subjectIdx, db.subjects = fresh.subjectIdx, fresh.subjects
+	db.locationIdx, db.locations = fresh.locationIdx, fresh.locations
+	db.lastEntry = fresh.lastEntry
 	return nil
 }

@@ -217,13 +217,6 @@ func TestEventsAndEventsSince(t *testing.T) {
 	if db.Events()[0].Subject != "a" {
 		t.Error("Events must return a copy")
 	}
-	since := db.EventsSince(1)
-	if len(since) != 2 || since[0].Seq != 2 {
-		t.Errorf("since = %v", since)
-	}
-	if got := db.EventsSince(99); len(got) != 0 {
-		t.Errorf("future since = %v", got)
-	}
 	if db.Len() != 3 {
 		t.Errorf("len = %d", db.Len())
 	}

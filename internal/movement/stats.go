@@ -20,8 +20,8 @@ func (db *DB) OccupancyAt(l graph.ID, t interval.Time) int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	n := 0
-	for _, idx := range db.byLocation[l] {
-		if db.stints[idx].Interval().Contains(t) {
+	for _, r := range db.locationRows(l, t) {
+		if db.row(r).presence().Contains(t) {
 			n++
 		}
 	}
@@ -43,9 +43,8 @@ func (db *DB) PeakOccupancy(l graph.ID, window interval.Interval) (int, interval
 		delta int
 	}
 	var edges []edge
-	for _, idx := range db.byLocation[l] {
-		st := db.stints[idx]
-		span := st.Interval().Intersect(window)
+	for _, r := range db.locationRows(l, window.End) {
+		span := db.row(r).presence().Intersect(window)
 		if span.IsEmpty() {
 			continue
 		}
@@ -83,12 +82,12 @@ func (db *DB) DwellTime(s profile.SubjectID, l graph.ID, window interval.Interva
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var total int64
-	for _, idx := range db.bySubject[s] {
-		st := db.stints[idx]
-		if st.Location != l {
-			continue
+	for r := db.newestIn(s, l); r != none; r = db.row(r).prev {
+		w := db.row(r)
+		if w.exit < window.Start {
+			break // the pair's earlier stints all ended before this one
 		}
-		span := st.Interval().Intersect(window)
+		span := w.presence().Intersect(window)
 		if span.IsEmpty() {
 			continue
 		}
@@ -114,15 +113,15 @@ func (db *DB) BusiestLocations(window interval.Interval) []LocationTraffic {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var out []LocationTraffic
-	for l, idxs := range db.byLocation {
+	for _, loc := range db.locations {
 		n := 0
-		for _, idx := range idxs {
-			if db.stints[idx].Interval().Overlaps(window) {
+		for _, r := range db.locationRows(loc.id, window.End) {
+			if db.row(r).presence().Overlaps(window) {
 				n++
 			}
 		}
 		if n > 0 {
-			out = append(out, LocationTraffic{Location: l, Visits: n})
+			out = append(out, LocationTraffic{Location: loc.id, Visits: n})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -5,11 +5,13 @@
 // exactly the same state as an NDJSON one (the equivalence test holds
 // both to that).
 //
-// Event body: tag=3 | kind u8 | flags u8 (bit0 alert, bit1 record)
-//             | seq u64 | time i64 | auth u64 | alertSeq u64
-//             | subject str16 | location str16 | name str16 | error str16
-//             | [record type str16 + data blob32]  (flag bit1)
-//             | [alert JSON blob32]                (flag bit0)
+// Event body:
+//
+//	tag=3 | kind u8 | flags u8 (bit0 alert, bit1 record)
+//	| seq u64 | time i64 | auth u64 | alertSeq u64
+//	| subject str16 | location str16 | name str16 | error str16
+//	| [record type str16 + data blob32]  (flag bit1)
+//	| [alert JSON blob32]                (flag bit0)
 package frame
 
 import (

@@ -3,11 +3,13 @@
 // and stream.AckWriter, so the shared chunker runs unchanged over
 // either framing; ObserveWriter and AckReader are the client halves.
 //
-// Observe body:  tag=1 | flags u8 (bit0 End) | time i64 | x f64 | y f64
-//                | subject str16 | fseq u64
-// Ack body:      tag=2 | flags u8 (bit0 Final) | acked u64 | seq u64
-//                | granted u64 | denied u64 | moved u64 | errors u64
-//                | lastError str16 | error str16 | resume u64
+// Observe and ack bodies:
+//
+//	Observe: tag=1 | flags u8 (bit0 End) | time i64 | x f64 | y f64
+//	         | subject str16 | fseq u64
+//	Ack:     tag=2 | flags u8 (bit0 Final) | acked u64 | seq u64
+//	         | granted u64 | denied u64 | moved u64 | errors u64
+//	         | lastError str16 | error str16 | resume u64
 //
 // The trailing fseq/resume fields carry the resume-session coordinates
 // (stream.ObserveFrame.Seq / stream.Ack.Resume). They sit at the body
