@@ -1269,11 +1269,12 @@ func (s *System) Snapshot() error {
 // Capture is one consistent cut of a node's state: what a snapshot file
 // holds and what a follower bootstraps from. The cut is taken under the
 // write lock; the work that grows with the state — materializing the
-// authorization view and encoding — runs after the lock is released,
-// in WriteTo.
+// authorization view and the movement log, and encoding — runs after
+// the lock is released, in WriteTo.
 type Capture struct {
 	state snapshotState
 	auths *authz.View
+	moves *movement.Frozen
 	root  *graph.Graph
 }
 
@@ -1295,7 +1296,7 @@ func (c *Capture) encode() ([]byte, error) {
 	st := c.state
 	st.Auths = c.auths.All()
 	st.Graph = graph.ToSpec(c.root)
-	return encodeSnapshot(&st)
+	return encodeSnapshotOf(&st, c.moves.All(), c.moves.Len())
 }
 
 // captureLocked cuts the full state. Callers hold the write lock and set
@@ -1316,12 +1317,12 @@ func (s *System) captureLocked() (*Capture, error) {
 			Term:       s.term.Load(),
 			Profiles:   s.profiles.Snapshot(),
 			NextAuthID: s.store.NextID(),
-			Events:     s.moves.Snapshot(),
 			Clock:      s.engine.Now(),
 			Boundaries: s.bounds,
 			AutoDerive: s.autoDerive,
 		},
 		auths: s.store.View(),
+		moves: s.moves.Freeze(),
 		root:  s.root,
 	}
 	for _, r := range s.ruleEng.Rules() {

@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"iter"
 	"maps"
 	"slices"
 
@@ -77,6 +78,13 @@ func decodeSnapshotFile(data []byte) (snapshotState, error) {
 // encodeSnapshot returns the encoding of snap. snap.Semantics is
 // ignored: the header carries this build's semantics.
 func encodeSnapshot(snap *snapshotState) ([]byte, error) {
+	return encodeSnapshotOf(snap, slices.Values(snap.Events), len(snap.Events))
+}
+
+// encodeSnapshotOf is encodeSnapshot with the movement log given as a
+// sequence of n events in place of snap.Events, so that a capture
+// encodes its frozen log without materializing it.
+func encodeSnapshotOf(snap *snapshotState, events iter.Seq[movement.Event], n int) ([]byte, error) {
 	site, err := json.Marshal(siteConfig{Graph: snap.Graph, Rules: snap.Rules, Boundaries: snap.Boundaries})
 	if err != nil {
 		return nil, err
@@ -116,18 +124,17 @@ func encodeSnapshot(snap *snapshotState) ([]byte, error) {
 		}
 		auths = binary.AppendUvarint(e.refs(auths, a.DerivedBy), uint64(a.BaseID))
 	}
-	events := binary.AppendUvarint(nil, uint64(len(snap.Events)))
-	for i := range snap.Events {
-		ev := &snap.Events[i]
-		events = binary.AppendVarint(binary.AppendUvarint(events, ev.Seq), int64(ev.Time))
-		events = e.refs(events, string(ev.Subject), string(ev.Location))
-		events = binary.AppendUvarint(binary.AppendUvarint(events, uint64(ev.Kind)), uint64(ev.Auth))
+	evs := binary.AppendUvarint(nil, uint64(n))
+	for ev := range events {
+		evs = binary.AppendVarint(binary.AppendUvarint(evs, ev.Seq), int64(ev.Time))
+		evs = e.refs(evs, string(ev.Subject), string(ev.Location))
+		evs = binary.AppendUvarint(binary.AppendUvarint(evs, uint64(ev.Kind)), uint64(ev.Auth))
 	}
 	table := binary.AppendUvarint(nil, uint64(len(e.table)))
 	for _, s := range e.table {
 		table = append(binary.AppendUvarint(table, uint64(len(s))), s...)
 	}
-	for _, sec := range [...][]byte{table, profiles, auths, events} {
+	for _, sec := range [...][]byte{table, profiles, auths, evs} {
 		b = appendSection(b, sec)
 	}
 	return b, nil

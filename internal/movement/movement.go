@@ -9,6 +9,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"iter"
 	"slices"
 	"sync"
 
@@ -88,7 +89,7 @@ var (
 	ErrTimeRegress   = errors.New("movement: event time precedes an earlier event")
 )
 
-// none marks an empty open-stint slot and the end of a back-chain.
+// none marks an empty open-stint slot and the end of a subject's chain.
 const none = ^uint32(0)
 
 // Rows live in fixed chunks of chunkSize: the history grows without
@@ -100,16 +101,13 @@ const (
 
 // row is one stint. It holds no pointer, so the garbage collector never
 // scans the history; names are interned in the subject and location
-// tables. Two back-chains run through the rows: prev links a subject's
-// stints in one location (Definition 7's entry count walks it), and
-// prevOfSubject links all of a subject's stints.
+// tables. prev links each stint to the subject's previous one.
 type row struct {
-	enter, exit   interval.Time // exit is interval.Inf while open
-	auth          authz.ID
-	subject       uint32
-	location      uint32
-	prev          uint32
-	prevOfSubject uint32
+	enter, exit interval.Time // exit is interval.Inf while open
+	auth        authz.ID
+	subject     uint32
+	location    uint32
+	prev        uint32
 }
 
 type subjectState struct {
@@ -126,7 +124,7 @@ type locationState struct {
 // DB is the movement database. It is safe for concurrent use.
 //
 // It keeps one row per stint and no event list: the log that Events
-// returns is derived from the rows.
+// returns is derived from the rows (see Frozen).
 type DB struct {
 	mu          sync.RWMutex
 	chunks      [][]row
@@ -137,9 +135,6 @@ type DB struct {
 	subjects    []subjectState
 	locationIdx map[graph.ID]uint32
 	locations   []locationState
-	// lastEntry maps pairKey(subject, location) to the subject's newest
-	// stint there: the head of that pair's prev chain.
-	lastEntry map[uint64]uint32
 }
 
 // NewDB returns an empty movement database.
@@ -148,11 +143,8 @@ func NewDB() *DB {
 		lastTime:    interval.MinTime,
 		subjectIdx:  make(map[profile.SubjectID]uint32),
 		locationIdx: make(map[graph.ID]uint32),
-		lastEntry:   make(map[uint64]uint32),
 	}
 }
-
-func pairKey(s, l uint32) uint64 { return uint64(s)<<32 | uint64(l) }
 
 func (db *DB) row(r uint32) *row { return &db.chunks[r>>chunkBits][r&(chunkSize-1)] }
 
@@ -199,12 +191,7 @@ func (db *DB) RecordEnter(t interval.Time, s profile.SubjectID, l graph.ID, auth
 		db.locationIdx[l] = li
 		db.locations = append(db.locations, locationState{id: l})
 	}
-	r, key := db.nrows, pairKey(si, li)
-	prev, seen := db.lastEntry[key]
-	if !seen {
-		prev = none
-	}
-	sub := &db.subjects[si]
+	r, sub := db.nrows, &db.subjects[si]
 	if c := len(db.chunks) - 1; c < 0 || len(db.chunks[c]) == chunkSize {
 		var next []row // the first chunk grows by append, so a small history stays small
 		if c >= 0 {
@@ -213,10 +200,9 @@ func (db *DB) RecordEnter(t interval.Time, s profile.SubjectID, l graph.ID, auth
 		db.chunks = append(db.chunks, next)
 	}
 	c := &db.chunks[len(db.chunks)-1]
-	*c = append(*c, row{enter: t, exit: interval.Inf, auth: auth, subject: si, location: li, prev: prev, prevOfSubject: sub.last})
+	*c = append(*c, row{enter: t, exit: interval.Inf, auth: auth, subject: si, location: li, prev: sub.last})
 	db.nrows++
 	sub.open, sub.last = r, r
-	db.lastEntry[key] = r
 	db.locations[li].rows = append(db.locations[li].rows, r)
 	return Event{Seq: db.logged(t), Time: t, Subject: s, Location: l, Kind: Enter, Auth: auth}, nil
 }
@@ -260,67 +246,65 @@ func (db *DB) CurrentLocation(s profile.SubjectID) (graph.ID, bool) {
 
 // Occupants returns the subjects currently inside location l, sorted.
 func (db *DB) Occupants(l graph.ID) []profile.SubjectID {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	li, known := db.locationIdx[l]
+	if !known {
+		return nil
+	}
 	var out []profile.SubjectID
-	for _, st := range db.OpenStints() {
-		if st.Location == l {
-			out = append(out, st.Subject)
+	for _, sub := range db.subjects {
+		if sub.open != none && db.row(sub.open).location == li {
+			out = append(out, sub.id)
 		}
 	}
+	slices.Sort(out)
 	return out
 }
 
 // EntryCount returns how many times subject s entered location l with
 // entry time inside window — the count Definition 7 compares against n.
-// It walks the pair's stints from the newest back to window.Start, so
-// its cost is the entries since the window opened, not the history.
+// It walks the subject's stints from the newest back to window.Start, so
+// its cost is the subject's entries since the window opened, not its
+// history.
 func (db *DB) EntryCount(s profile.SubjectID, l graph.ID, window interval.Interval) int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if window.IsEmpty() {
+	li, known := db.locationIdx[l]
+	if !known || window.IsEmpty() {
 		return 0
 	}
 	n := 0
-	for r := db.newestIn(s, l); r != none && db.row(r).enter >= window.Start; r = db.row(r).prev {
-		if db.row(r).enter <= window.End {
+	for r := db.newest(s); r != none; r = db.row(r).prev {
+		w := db.row(r)
+		if w.enter < window.Start {
+			break // entry times never decrease along the subject's stints
+		}
+		if w.location == li && w.enter <= window.End {
 			n++
 		}
 	}
 	return n
 }
 
-// newestIn returns subject s's newest stint in location l, or none: the
-// head of the pair's prev chain.
-func (db *DB) newestIn(s profile.SubjectID, l graph.ID) uint32 {
-	si, sok := db.subjectIdx[s]
-	li, lok := db.locationIdx[l]
-	if r, ok := db.lastEntry[pairKey(si, li)]; ok && sok && lok {
-		return r
+// newest returns subject s's newest stint, or none: the head of the
+// subject's prev chain.
+func (db *DB) newest(s profile.SubjectID) uint32 {
+	if si, known := db.subjectIdx[s]; known {
+		return db.subjects[si].last
 	}
 	return none
-}
-
-// subjectRows returns the rows of subject s, newest first.
-func (db *DB) subjectRows(s profile.SubjectID) []uint32 {
-	si, known := db.subjectIdx[s]
-	if !known {
-		return nil
-	}
-	var out []uint32
-	for r := db.subjects[si].last; r != none; r = db.row(r).prevOfSubject {
-		out = append(out, r)
-	}
-	return out
 }
 
 // History returns all stints of subject s in chronological order.
 func (db *DB) History(s profile.SubjectID) []Stint {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	rows := db.subjectRows(s)
-	out := make([]Stint, len(rows))
-	for i, r := range rows {
-		out[len(rows)-1-i] = db.stint(r)
+	var out []Stint
+	for r := db.newest(s); r != none; r = db.row(r).prev {
+		out = append(out, db.stint(r))
 	}
+	slices.Reverse(out)
 	return out
 }
 
@@ -379,7 +363,7 @@ func (db *DB) ContactsOf(s profile.SubjectID, window interval.Interval) []Contac
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var out []Contact
-	for _, r := range db.subjectRows(s) {
+	for r := db.newest(s); r != none; r = db.row(r).prev {
 		mine := db.row(r)
 		if mine.exit < window.Start {
 			break // the subject's earlier stints all ended before this one
@@ -405,41 +389,102 @@ func (db *DB) ContactsOf(s profile.SubjectID, window interval.Interval) []Contac
 	return out
 }
 
-// Events returns the movement log, derived from the stints: each stint
-// contributes its enter and, once closed, its exit. Events are ordered by
-// time, then by stint, enter before exit. A subject's own events keep
-// their recorded order under this key — its exit from a room precedes
-// its next entry at the same time, because that entry is a later stint —
-// so the derived log replays through the strict Restore.
+// Events returns the movement log, derived from the stints (see Frozen).
 func (db *DB) Events() []Event {
+	return db.Freeze().Events()
+}
+
+// Frozen is a copy of the history, from which Events derives the log
+// without holding the database's lock.
+type Frozen struct {
+	rows      []row
+	subjects  []profile.SubjectID
+	locations []graph.ID
+	nevents   uint64
+}
+
+// Freeze copies the history under the read lock: one row per stint and
+// the name tables, no per-event work.
+func (db *DB) Freeze() *Frozen {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	exits := make([]uint32, 0, db.nevents-uint64(db.nrows))
-	for r := range db.nrows {
-		if db.row(r).exit != interval.Inf {
-			exits = append(exits, r)
+	f := &Frozen{
+		rows:      make([]row, 0, db.nrows),
+		subjects:  make([]profile.SubjectID, len(db.subjects)),
+		locations: make([]graph.ID, len(db.locations)),
+		nevents:   db.nevents,
+	}
+	for _, c := range db.chunks {
+		f.rows = append(f.rows, c...)
+	}
+	for i, sub := range db.subjects {
+		f.subjects[i] = sub.id
+	}
+	for i, loc := range db.locations {
+		f.locations[i] = loc.id
+	}
+	return f
+}
+
+// Len returns the number of events in the frozen log.
+func (f *Frozen) Len() int { return int(f.nevents) }
+
+// All yields the frozen movement log: each stint contributes its enter
+// and, once closed, its exit. Events are ordered by time, then by stint,
+// enter before exit. A subject's own events keep their recorded order
+// under this key — its exit from a room precedes its next entry at the
+// same time, because that entry is a later stint — so the derived log
+// replays through the strict Restore.
+func (f *Frozen) All() iter.Seq[Event] {
+	return func(yield func(Event) bool) {
+		type exit struct {
+			t interval.Time
+			r uint32
+		}
+		exits := make([]exit, 0, f.nevents-uint64(len(f.rows)))
+		for r, w := range f.rows {
+			if w.exit != interval.Inf {
+				exits = append(exits, exit{w.exit, uint32(r)})
+			}
+		}
+		slices.SortFunc(exits, func(a, b exit) int {
+			if c := cmp.Compare(a.t, b.t); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.r, b.r)
+		})
+		seq := uint64(0)
+		emit := func(r uint32, kind EventKind, t interval.Time) bool {
+			seq++
+			w := &f.rows[r]
+			return yield(Event{Seq: seq, Time: t, Subject: f.subjects[w.subject],
+				Location: f.locations[w.location], Kind: kind, Auth: w.auth})
+		}
+		// Entries are already in (time, stint) order: stints are numbered
+		// as they are entered, and entry times never decrease.
+		enter := uint32(0)
+		for _, x := range exits {
+			for ; int(enter) < len(f.rows) && (f.rows[enter].enter < x.t || f.rows[enter].enter == x.t && enter <= x.r); enter++ {
+				if !emit(enter, Enter, f.rows[enter].enter) {
+					return
+				}
+			}
+			if !emit(x.r, Exit, x.t) {
+				return
+			}
+		}
+		for ; int(enter) < len(f.rows); enter++ {
+			if !emit(enter, Enter, f.rows[enter].enter) {
+				return
+			}
 		}
 	}
-	slices.SortFunc(exits, func(a, b uint32) int {
-		return cmp.Or(cmp.Compare(db.row(a).exit, db.row(b).exit), cmp.Compare(a, b))
-	})
-	out := make([]Event, 0, db.nevents)
-	// Entries are already in (time, stint) order: stints are numbered as
-	// they are entered, and entry times never decrease.
-	for enter := uint32(0); enter < db.nrows || len(exits) > 0; {
-		ev := Event{Seq: uint64(len(out)) + 1, Kind: Enter}
-		r := enter
-		if len(exits) > 0 && (enter == db.nrows || db.row(exits[0]).exit < db.row(enter).enter ||
-			db.row(exits[0]).exit == db.row(enter).enter && exits[0] < enter) {
-			r, ev.Kind, exits = exits[0], Exit, exits[1:]
-		} else {
-			enter++
-		}
-		st := db.stint(r)
-		ev.Time, ev.Subject, ev.Location, ev.Auth = st.Enter, st.Subject, st.Location, st.Auth
-		if ev.Kind == Exit {
-			ev.Time = st.Exit
-		}
+}
+
+// Events returns the frozen movement log (see All).
+func (f *Frozen) Events() []Event {
+	out := make([]Event, 0, f.nevents)
+	for ev := range f.All() {
 		out = append(out, ev)
 	}
 	return out
@@ -504,6 +549,5 @@ func (db *DB) Restore(events []Event) error {
 	db.chunks, db.nrows, db.nevents, db.lastTime = fresh.chunks, fresh.nrows, fresh.nevents, fresh.lastTime
 	db.subjectIdx, db.subjects = fresh.subjectIdx, fresh.subjects
 	db.locationIdx, db.locations = fresh.locationIdx, fresh.locations
-	db.lastEntry = fresh.lastEntry
 	return nil
 }

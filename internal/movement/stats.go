@@ -81,11 +81,18 @@ func (db *DB) PeakOccupancy(l graph.ID, window interval.Interval) (int, interval
 func (db *DB) DwellTime(s profile.SubjectID, l graph.ID, window interval.Interval) int64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	li, known := db.locationIdx[l]
+	if !known {
+		return 0
+	}
 	var total int64
-	for r := db.newestIn(s, l); r != none; r = db.row(r).prev {
+	for r := db.newest(s); r != none; r = db.row(r).prev {
 		w := db.row(r)
 		if w.exit < window.Start {
-			break // the pair's earlier stints all ended before this one
+			break // the subject's earlier stints all ended before this one
+		}
+		if w.location != li {
+			continue
 		}
 		span := w.presence().Intersect(window)
 		if span.IsEmpty() {

@@ -276,9 +276,7 @@ func (l *Log) resetLocked(base uint64) error {
 	return nil
 }
 
-// ErrClosed is the error a closed cache-policy log latches: every later
-// append fails with it.
-var ErrClosed = errors.New("storage: log closed")
+var errLogClosed = errors.New("storage: log closed")
 
 // Close closes the file, fsyncing it under the durable policy. A closed
 // cache refuses further appends.
@@ -289,7 +287,7 @@ func (l *Log) Close() error {
 	if l.durable {
 		err = l.f.Sync()
 	} else if l.err == nil {
-		l.err = ErrClosed
+		l.err = errLogClosed
 	}
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
