@@ -337,6 +337,93 @@ func BenchmarkRuleDerivation(b *testing.B) {
 	}
 }
 
+// shiftPolicy builds the grid16-shifts policy in memory: a 16×16 grid,
+// 512 subjects (every twentieth in no group, so no rule grants it), one
+// base authorization over the break between two shifts, and 80
+// WHENEVERNOT rules — the hallway (column 0) for all staff and eight
+// rooms of one row per department — which derive three authorizations
+// per (member, room), about 35k in all. The rules are returned unadded.
+func shiftPolicy(b *testing.B, autoDerive bool) (*rules.Engine, *authz.Store, *profile.DB, []rules.Rule) {
+	b.Helper()
+	g := gridGraph(16)
+	room := func(r, c int) string { return fmt.Sprintf("r%03d_%03d", r, c) }
+	store := authz.NewStore()
+	profiles := profile.NewDB()
+	for i := 0; i < 512; i++ {
+		sub := profile.Subject{ID: profile.SubjectID(fmt.Sprintf("u%04d", i))}
+		if i%20 != 0 {
+			sub.Groups = []string{"staff", fmt.Sprintf("dept%d", i%8)}
+		}
+		if err := profiles.Put(sub); err != nil {
+			b.Fatal(err)
+		}
+	}
+	shiftBreak := interval.New(150001, 169999)
+	base, err := store.Add(authz.New(shiftBreak, shiftBreak, "template", graph.ID(room(0, 0)), authz.Unlimited))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var specs []rules.Spec
+	shift := func(name, subject, location string) {
+		specs = append(specs, rules.Spec{Name: name, ValidFrom: 1, Base: base.ID, Entry: "WHENEVERNOT", Exit: "WHENEVERNOT", Subject: subject, Location: location})
+	}
+	for r := 0; r < 16; r++ {
+		shift("hall-"+room(r, 0), "Members_Of(staff)", room(r, 0))
+	}
+	for d := 0; d < 8; d++ {
+		for c := 1; c <= 8; c++ {
+			shift(fmt.Sprintf("dept%d-%s", d, room(2*d+1, c)), fmt.Sprintf("Members_Of(dept%d)", d), room(2*d+1, c))
+		}
+	}
+	rs := make([]rules.Rule, len(specs))
+	for i, spec := range specs {
+		if rs[i], err = spec.Compile(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return rules.NewEngine(store, profiles, g, autoDerive), store, profiles, rs
+}
+
+// BenchmarkRuleDerivationShifts measures adding the 80 grid16-shifts
+// rules to a store that grows to their full output, so each rule's cost
+// shows whether it follows its own output or the whole store.
+func BenchmarkRuleDerivationShifts(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		eng, store, _, rs := shiftPolicy(b, false)
+		b.StartTimer()
+		for _, r := range rs {
+			if _, err := eng.AddRule(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(store.Len()), "auths")
+	}
+}
+
+// BenchmarkProfileEditAutoDerive measures one profile edit under
+// AutoDerive after the 80 grid16-shifts rules: a subject moves between
+// two departments, so 16 rules re-derive and the other 64 find their
+// output unchanged.
+func BenchmarkProfileEditAutoDerive(b *testing.B) {
+	eng, _, profiles, rs := shiftPolicy(b, true)
+	for _, r := range rs {
+		if _, err := eng.AddRule(r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	edits := []profile.Subject{
+		{ID: "u0001", Groups: []string{"staff", "dept2"}},
+		{ID: "u0001", Groups: []string{"staff", "dept1"}},
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := profiles.Put(edits[i%2]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- Route checking and contact tracing ----------------------------------
 
 // BenchmarkCheckRoute measures the §6 authorized-route check along a

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"testing"
@@ -33,6 +34,7 @@ type reads interface {
 	BySubject(profile.SubjectID) []Authorization
 	ByLocation(graph.ID) []Authorization
 	Get(ID) (Authorization, error)
+	Derived(string) []Authorization
 	All() []Authorization
 	Subjects() []profile.SubjectID
 	Len() int
@@ -63,6 +65,11 @@ func answers(r reads, ids []ID) []answer {
 	}
 	for _, l := range modelLocations {
 		add("ByLocation("+string(l)+")", r.ByLocation(l))
+	}
+	for _, rule := range modelRules {
+		if rule != "" {
+			add("Derived("+rule+")", r.Derived(rule))
+		}
 	}
 	for _, id := range ids {
 		a, err := r.Get(id)
@@ -124,6 +131,10 @@ func (v modelView) BySubject(s profile.SubjectID) []Authorization {
 
 func (v modelView) ByLocation(l graph.ID) []Authorization {
 	return v.filter(func(a Authorization) bool { return a.Location == l })
+}
+
+func (v modelView) Derived(rule string) []Authorization {
+	return v.filter(func(a Authorization) bool { return a.DerivedBy == rule })
 }
 
 func (v modelView) Get(id ID) (Authorization, error) {
@@ -207,26 +218,18 @@ func (m *model) step(t *testing.T, rng *rand.Rand, st *Store) string {
 		delete(m.auths, id)
 		return fmt.Sprintf("Revoke %d", id)
 	case op < 9:
-		var pred func(Authorization) bool
-		var what string
-		if rng.IntN(2) == 0 {
-			rule := modelRules[2+rng.IntN(2)]
-			pred, what = func(a Authorization) bool { return a.DerivedBy == rule }, "rule "+rule
-		} else {
-			s, l := modelSubjects[rng.IntN(len(modelSubjects))], modelLocations[rng.IntN(len(modelLocations))]
-			pred, what = func(a Authorization) bool { return a.Subject == s || a.Location == l }, fmt.Sprintf("%s or %s", s, l)
-		}
+		rule := modelRules[2+rng.IntN(2)]
 		want := 0
 		for id, a := range m.auths {
-			if pred(a) {
+			if a.DerivedBy == rule {
 				delete(m.auths, id)
 				want++
 			}
 		}
-		if got := st.RevokeIf(pred); got != want {
-			t.Fatalf("RevokeIf(%s) = %d, want %d", what, got, want)
+		if got := st.RevokeDerived(rule); got != want {
+			t.Fatalf("RevokeDerived(%s) = %d, want %d", rule, got, want)
 		}
-		return fmt.Sprintf("RevokeIf %s", what)
+		return fmt.Sprintf("RevokeDerived %s", rule)
 	default:
 		auths := m.sorted()
 		rng.Shuffle(len(auths), func(i, j int) { auths[i], auths[j] = auths[j], auths[i] })
@@ -245,6 +248,42 @@ func (m *model) step(t *testing.T, rng *rand.Rand, st *Store) string {
 		m.lastID = next - 1
 		return fmt.Sprintf("Restore %d next %d", len(auths), next)
 	}
+}
+
+// ruleIndexErr checks every shard's rule index against its byID table:
+// each listed ID resolves, in ID order, to an authorization of the
+// listing rule, and each derived authorization is listed. Derived and
+// RevokeDerived skip IDs that no longer resolve, so a stale entry shows
+// only here.
+func ruleIndexErr(st *Store) error {
+	for i := range st.shards {
+		d := st.shards[i].data.Load()
+		listed, derived := 0, 0
+		for b := range d.byRule.buckets {
+			for rule, ids := range b {
+				if len(ids) == 0 || !slices.IsSorted(ids) {
+					return fmt.Errorf("shard %d: rule %q lists %v", i, rule, ids)
+				}
+				for _, id := range ids {
+					if a, ok := d.get(id); !ok || a.DerivedBy != rule {
+						return fmt.Errorf("shard %d: rule %q lists %d, which is %v (present %v)", i, rule, id, a, ok)
+					}
+				}
+				listed += len(ids)
+			}
+		}
+		for b := range d.byID.buckets {
+			for _, a := range b {
+				if a.IsDerived() {
+					derived++
+				}
+			}
+		}
+		if listed != derived {
+			return fmt.Errorf("shard %d: rule index lists %d IDs for %d derived authorizations", i, listed, derived)
+		}
+	}
+	return nil
 }
 
 // TestStoreMatchesModel drives a 4-shard store with random writes and
@@ -276,6 +315,9 @@ func TestStoreMatchesModel(t *testing.T) {
 			fail("view captured before the step moved", answers(v, probe), before)
 			probe = append(probe, m.probes()...)
 			fail("store disagrees with model", answers(st, probe), answers(m.view(), probe))
+			if err := ruleIndexErr(st); err != nil {
+				t.Fatalf("seed %d step %d (%s): %v", seed, i, what, err)
+			}
 			if got := st.Stats().Auths; got != len(m.auths) {
 				t.Fatalf("seed %d step %d (%s): Stats().Auths = %d, want %d", seed, i, what, got, len(m.auths))
 			}

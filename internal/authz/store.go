@@ -71,9 +71,10 @@ func (t *table[K, V]) buckets(yield func(map[K]V) bool) {
 // still spread over all its buckets.
 func bucketOf(h uint64) uint64 { return h >> (64 - bucketBits) }
 
-// idBucket picks a byID bucket: IDs are assigned sequentially, so their
-// low bits spread evenly without hashing.
-func idBucket(id ID) uint64 { return uint64(id) % fanout }
+// idBucket picks a byID bucket by run of 64 IDs: IDs are assigned in
+// sequence, so a batch of k consecutive IDs touches about k/64 buckets
+// per shard, and a growing store's runs still cycle through them all.
+func idBucket(id ID) uint64 { return uint64(id) / 64 % fanout }
 
 // shardData is one shard's immutable index state. A published shardData
 // is never mutated: a writer copies the table roots, replaces the nodes
@@ -90,11 +91,14 @@ func idBucket(id ID) uint64 { return uint64(id) % fanout }
 // interior slice straight to the caller — the Def.-7 decision path
 // allocates nothing. The location index keeps ID lists, sorted by ID,
 // and materialises on read (it serves fan-out queries, not decisions).
+// The rule index does the same for derived authorizations, keyed by
+// DerivedBy, so a rule's output costs that output to find, not the shard.
 type shardData struct {
 	n          int // authorizations in the shard
 	byID       table[ID, Authorization]
 	byLocation table[graph.ID, []ID]
 	byPair     table[subjectLocation, []Authorization]
+	byRule     table[string, []ID]
 }
 
 func (d *shardData) get(id ID) (Authorization, bool) {
@@ -130,19 +134,6 @@ func (d *shardData) appendCollect(dst []Authorization, ids []ID) []Authorization
 	return dst
 }
 
-// match returns the shard's authorizations satisfying pred.
-func (d *shardData) match(pred func(Authorization) bool) []Authorization {
-	var out []Authorization
-	for b := range d.byID.buckets {
-		for _, a := range b {
-			if pred(a) {
-				out = append(out, a)
-			}
-		}
-	}
-	return out
-}
-
 // writer builds one write's successor to a shard's published state. The
 // successor starts as a copy of the roots, sharing every node below
 // them; the first touch of a mid node or bucket copies it and marks it
@@ -151,9 +142,9 @@ func (d *shardData) match(pred func(Authorization) bool) []Authorization {
 // the published state, so the writer replaces them and never appends in
 // place.
 type writer struct {
-	d                           *shardData
-	seed                        maphash.Seed
-	ownID, ownLocation, ownPair owned
+	d                                    *shardData
+	seed                                 maphash.Seed
+	ownID, ownLocation, ownPair, ownRule owned
 }
 
 // owned marks the mid nodes and buckets of one table a writer has copied.
@@ -194,11 +185,15 @@ func (w *writer) bucketOf(key string) uint64 { return bucketOf(maphash.String(w.
 func (w *writer) insertAll(batch []Authorization) {
 	locAdds := make(map[graph.ID][]ID)
 	pairAdds := make(map[subjectLocation][]Authorization)
+	ruleAdds := make(map[string][]ID)
 	for _, a := range batch {
 		edit(&w.d.byID, &w.ownID, idBucket(a.ID))[a.ID] = a
 		locAdds[a.Location] = append(locAdds[a.Location], a.ID)
 		k := subjectLocation{a.Subject, a.Location}
 		pairAdds[k] = append(pairAdds[k], a)
+		if a.IsDerived() {
+			ruleAdds[a.DerivedBy] = append(ruleAdds[a.DerivedBy], a.ID)
+		}
 	}
 	w.d.n += len(batch)
 	for l, add := range locAdds {
@@ -209,6 +204,10 @@ func (w *writer) insertAll(batch []Authorization) {
 		m := edit(&w.d.byPair, &w.ownPair, w.bucketOf(string(k.s)))
 		m[k] = concatSorted(m[k], add, authID)
 	}
+	for r, add := range ruleAdds {
+		m := edit(&w.d.byRule, &w.ownRule, w.bucketOf(r))
+		m[r] = concatSorted(m[r], add, idOf)
+	}
 }
 
 // removeAll removes victims, all present in the shard, filtering each
@@ -217,11 +216,15 @@ func (w *writer) removeAll(victims []Authorization) {
 	gone := make(map[ID]bool, len(victims))
 	locs := make(map[graph.ID]bool)
 	pairs := make(map[subjectLocation]bool)
+	rules := make(map[string]bool)
 	for _, a := range victims {
 		delete(edit(&w.d.byID, &w.ownID, idBucket(a.ID)), a.ID)
 		gone[a.ID] = true
 		locs[a.Location] = true
 		pairs[subjectLocation{a.Subject, a.Location}] = true
+		if a.IsDerived() {
+			rules[a.DerivedBy] = true
+		}
 	}
 	w.d.n -= len(victims)
 	for l := range locs {
@@ -229,6 +232,9 @@ func (w *writer) removeAll(victims []Authorization) {
 	}
 	for k := range pairs {
 		without(edit(&w.d.byPair, &w.ownPair, w.bucketOf(string(k.s))), k, gone, authID)
+	}
+	for r := range rules {
+		without(edit(&w.d.byRule, &w.ownRule, w.bucketOf(r)), r, gone, idOf)
 	}
 }
 
@@ -277,18 +283,19 @@ type shard struct {
 
 // Store is the authorization database of Fig. 3: all authorizations
 // defined by administrators plus those derived by rules, indexed for the
-// three access paths the engine needs — by (subject, location) for access
-// checks, by location for Algorithm 1, and by subject (the subject's
-// bucket of the pair index) for per-user queries.
+// four access paths the engine needs — by (subject, location) for access
+// checks, by location for Algorithm 1, by subject (the subject's bucket
+// of the pair index) for per-user queries, and by deriving rule for the
+// rule engine.
 //
 // The store is sharded by subject hash into a power-of-two number of
 // stripes. Mutations lock only their subject's shard, copy the roots
 // and the touched paths of that shard's index tables, and publish the
 // new state through an atomic pointer; readers never take a lock —
 // For/BySubject touch exactly one shard's published data, while
-// ByLocation/All/Subjects/FindConflicts fan out over every shard. A View
-// captures all shard pointers at once for callers that need a stable
-// multi-read snapshot (the core read path).
+// ByLocation/Derived/All/Subjects/FindConflicts fan out over every
+// shard. A View captures all shard pointers at once for callers that
+// need a stable multi-read snapshot (the core read path).
 //
 // Store is safe for concurrent use.
 type Store struct {
@@ -452,47 +459,30 @@ func (st *Store) Revoke(id ID) error {
 	return fmt.Errorf("%w: %d", ErrNotFound, id)
 }
 
-// RevokeIf removes every authorization for which pred returns true and
-// returns how many it removed — the rule engine's revocation of a rule's
-// output (Example 1) and of a revoked base's derived children. Each
-// shard holding a match is rewritten once. pred runs on the shard's
-// published state with no lock held; if a concurrent writer publishes
-// over that state before the rewrite, the shard is scanned again, so
-// the removal applies to exactly the state pred saw.
-func (st *Store) RevokeIf(pred func(Authorization) bool) int {
+// RevokeDerived removes every authorization derived by the named rule
+// and returns how many it removed — the rule engine's revocation of a
+// rule's output (Example 1). It reads one rule-index bucket per shard
+// and rewrites each shard holding some of the output once, under its
+// mutex, so it costs the rule's output, not the store.
+func (st *Store) RevokeDerived(rule string) int {
+	b := bucketOf(maphash.String(st.seed, rule))
 	removed := 0
 	for i := range st.shards {
 		sh := &st.shards[i]
-		for {
-			cur := sh.data.Load()
-			victims := cur.match(pred)
-			if len(victims) == 0 {
-				break
-			}
-			sh.mu.Lock()
-			if sh.data.Load() != cur {
-				sh.mu.Unlock()
-				continue
-			}
+		sh.mu.Lock()
+		d := sh.data.Load()
+		if victims := d.appendCollect(nil, d.byRule.bucket(b)[rule]); len(victims) > 0 {
 			st.rewrite(sh, func(w *writer) { w.removeAll(victims) })
-			sh.mu.Unlock()
 			removed += len(victims)
-			break
 		}
+		sh.mu.Unlock()
 	}
 	return removed
 }
 
-// Match returns every authorization for which pred returns true, sorted
-// by ID. pred runs on each shard's published state with no lock held.
-func (st *Store) Match(pred func(Authorization) bool) []Authorization {
-	var out []Authorization
-	for i := range st.shards {
-		out = append(out, st.shards[i].data.Load().match(pred)...)
-	}
-	sortAuths(out)
-	return out
-}
+// Derived returns every authorization derived by the named rule, sorted
+// by ID.
+func (st *Store) Derived(rule string) []Authorization { return st.View().Derived(rule) }
 
 // For returns the authorizations for subject s at location l, sorted by
 // ID — the lookup behind every access request (Def. 7 checks "there
@@ -737,6 +727,18 @@ func (v *View) ByLocation(l graph.ID) []Authorization {
 	var out []Authorization
 	for _, d := range v.data {
 		out = d.appendCollect(out, d.byLocation.bucket(b)[l])
+	}
+	sortAuths(out)
+	return out
+}
+
+// Derived returns every authorization derived by the named rule, in ID
+// order, merged across shards.
+func (v *View) Derived(rule string) []Authorization {
+	b := bucketOf(maphash.String(v.seed, rule))
+	var out []Authorization
+	for _, d := range v.data {
+		out = d.appendCollect(out, d.byRule.bucket(b)[rule])
 	}
 	sortAuths(out)
 	return out

@@ -87,25 +87,33 @@ func TestStoreRevoke(t *testing.T) {
 	}
 }
 
-func TestStoreRevokeIf(t *testing.T) {
+func TestStoreRevokeDerived(t *testing.T) {
 	st := NewStore()
 	base := addOK(t, st, New(iv("[5, 20]"), iv("[15, 50]"), "Alice", "CAIS", 2))
 	d1 := New(iv("[5, 20]"), iv("[15, 50]"), "Bob", "CAIS", 2)
 	d1.DerivedBy, d1.BaseID = "r1", base.ID
-	addOK(t, st, d1)
+	d1 = addOK(t, st, d1)
 	d2 := New(iv("[10, 20]"), iv("[15, 50]"), "Bob", "CAIS", 2)
 	d2.DerivedBy, d2.BaseID = "r2", base.ID
 	addOK(t, st, d2)
 
-	byR1 := func(a Authorization) bool { return a.DerivedBy == "r1" }
-	if n := st.RevokeIf(byR1); n != 1 {
+	if got := st.Derived("r1"); len(got) != 1 || got[0] != d1 {
+		t.Errorf("Derived(r1) = %v, want [%v]", got, d1)
+	}
+	if got := st.Derived(""); got != nil {
+		t.Errorf("Derived(\"\") = %v: base authorizations are not rule output", got)
+	}
+	if n := st.RevokeDerived("r1"); n != 1 {
 		t.Errorf("revoked %d, want 1", n)
 	}
 	if st.Len() != 2 {
 		t.Errorf("len = %d, want 2", st.Len())
 	}
-	if n := st.RevokeIf(byR1); n != 0 {
+	if n := st.RevokeDerived("r1"); n != 0 {
 		t.Errorf("second revoke removed %d", n)
+	}
+	if got := st.Derived("r1"); got != nil {
+		t.Errorf("Derived(r1) after revoke = %v", got)
 	}
 	// Base and r2-derived authorizations survive.
 	if _, err := st.Get(base.ID); err != nil {

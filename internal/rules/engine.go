@@ -3,7 +3,6 @@ package rules
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/authz"
@@ -39,24 +38,21 @@ type Engine struct {
 	root     *graph.Graph
 	rules    map[string]Rule
 	order    []string
-	// autoDerive re-runs every rule after a profile change, implementing
-	// Example 1's automatic re-derivation.
-	autoDerive bool
 }
 
 // NewEngine builds a rule engine over the given databases. When
 // autoDerive is true the engine watches the profile database and
-// re-derives all rules after every profile change.
+// re-derives all rules after every profile change (Example 1), leaving
+// out the skipped combinations, which nobody reads.
 func NewEngine(store *authz.Store, profiles *profile.DB, root *graph.Graph, autoDerive bool) *Engine {
 	e := &Engine{
-		store:      store,
-		profiles:   profiles,
-		root:       root,
-		rules:      make(map[string]Rule),
-		autoDerive: autoDerive,
+		store:    store,
+		profiles: profiles,
+		root:     root,
+		rules:    make(map[string]Rule),
 	}
 	if autoDerive {
-		profiles.Watch(func(profile.Change) { _, _ = e.DeriveAll() })
+		profiles.Watch(func(profile.Change) { _, _ = e.deriveAll(false) })
 	}
 	return e
 }
@@ -76,7 +72,7 @@ func (e *Engine) AddRule(r Rule) (Report, error) {
 	}
 	e.rules[r.Name] = r
 	e.order = append(e.order, r.Name)
-	return e.deriveLocked(r)
+	return e.deriveLocked(r, true)
 }
 
 // RestoreRule registers a rule without deriving — used by recovery, where
@@ -115,13 +111,8 @@ func (e *Engine) RemoveRule(name string) error {
 		return fmt.Errorf("rules: unknown rule %q", name)
 	}
 	delete(e.rules, name)
-	for i, n := range e.order {
-		if n == name {
-			e.order = append(e.order[:i], e.order[i+1:]...)
-			break
-		}
-	}
-	e.store.RevokeIf(derivedBy(name))
+	e.order = slices.DeleteFunc(e.order, func(n string) bool { return n == name })
+	e.store.RevokeDerived(name)
 	return nil
 }
 
@@ -146,17 +137,19 @@ func (e *Engine) Derive(name string) (Report, error) {
 	if !ok {
 		return Report{}, fmt.Errorf("rules: unknown rule %q", name)
 	}
-	return e.deriveLocked(r)
+	return e.deriveLocked(r, true)
 }
 
 // DeriveAll re-evaluates every rule in insertion order.
-func (e *Engine) DeriveAll() ([]Report, error) {
+func (e *Engine) DeriveAll() ([]Report, error) { return e.deriveAll(true) }
+
+func (e *Engine) deriveAll(skips bool) ([]Report, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var reports []Report
 	var firstErr error
 	for _, name := range e.order {
-		rep, err := e.deriveLocked(e.rules[name])
+		rep, err := e.deriveLocked(e.rules[name], skips)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -171,15 +164,15 @@ func (e *Engine) DeriveAll() ([]Report, error) {
 // derived authorizations keep their IDs and no store bucket moves. The
 // comparison reads the store only, so a follower applying the same
 // records makes the same choice as its primary and assigns the same IDs.
-func (e *Engine) deriveLocked(r Rule) (Report, error) {
-	rep, pending, err := e.evaluateLocked(r)
-	current := e.store.Match(derivedBy(r.Name))
+func (e *Engine) deriveLocked(r Rule, skips bool) (Report, error) {
+	rep, pending, err := e.evaluateLocked(r, skips)
+	current := e.store.Derived(r.Name)
 	if err == nil && sameOutput(current, pending) {
 		rep.Derived = current
 		return rep, nil
 	}
 	if len(current) > 0 {
-		e.store.RevokeIf(derivedBy(r.Name))
+		e.store.RevokeDerived(r.Name)
 	}
 	if err != nil {
 		return rep, err
@@ -204,8 +197,8 @@ func sameOutput(stored, pending []authz.Authorization) bool {
 // evaluateLocked applies rule r's operator tuple to the base
 // authorization and returns the cartesian product of the derived
 // components, skipping combinations whose temporal constraints are
-// unsatisfiable.
-func (e *Engine) evaluateLocked(r Rule) (Report, []authz.Authorization, error) {
+// unsatisfiable (listed in the report only when skips is set).
+func (e *Engine) evaluateLocked(r Rule, skips bool) (Report, []authz.Authorization, error) {
 	rep := Report{Rule: r.Name}
 	base, err := e.store.Get(r.Base)
 	if err != nil {
@@ -234,7 +227,7 @@ func (e *Engine) evaluateLocked(r Rule) (Report, []authz.Authorization, error) {
 		rep.Skips = append(rep.Skips, Skip{Rule: r.Name, Reason: fmt.Sprintf("subject operator %s derived no subjects for %s", ops.Subject, base.Subject)})
 		return rep, nil, nil
 	}
-	sortSubjects(subjects)
+	slices.Sort(subjects)
 	locations, err := ops.Location.Apply(base.Location, e.root)
 	if err != nil {
 		return rep, nil, fmt.Errorf("rules: rule %q: location operator: %w", r.Name, err)
@@ -243,16 +236,25 @@ func (e *Engine) evaluateLocked(r Rule) (Report, []authz.Authorization, error) {
 		rep.Skips = append(rep.Skips, Skip{Rule: r.Name, Reason: "location operator derived no locations"})
 		return rep, nil, nil
 	}
-	sort.Slice(locations, func(i, j int) bool { return locations[i] < locations[j] })
+	slices.Sort(locations)
 	n := ops.Entries.Apply(base.MaxEntries)
 
 	// Validate-or-skip here; the caller stores the survivors as one
 	// batch, so readers see each shard's part of the rule's output whole.
+	// Given a subject and a location, Validate judges only the windows,
+	// so errs holds its verdict once per entry/exit pairing.
+	entries, exits := entrySet.Intervals(), exitSet.Intervals()
+	var errs []error
+	for _, eIv := range entries {
+		for _, xIv := range exits {
+			errs = append(errs, authz.Authorization{Subject: "s", Location: "l", Entry: eIv, Exit: xIv, MaxEntries: n, CreatedAt: r.ValidFrom}.Normalize().Validate())
+		}
+	}
 	var pending []authz.Authorization
 	for _, s := range subjects {
 		for _, l := range locations {
-			for _, eIv := range entrySet.Intervals() {
-				for _, xIv := range exitSet.Intervals() {
+			for i, eIv := range entries {
+				for j, xIv := range exits {
 					a := authz.Authorization{
 						Subject:    s,
 						Location:   l,
@@ -263,14 +265,16 @@ func (e *Engine) evaluateLocked(r Rule) (Report, []authz.Authorization, error) {
 						DerivedBy:  r.Name,
 						BaseID:     base.ID,
 					}.Normalize()
-					if err := a.Validate(); err != nil {
-						rep.Skips = append(rep.Skips, Skip{
-							Rule:   r.Name,
-							Reason: fmt.Sprintf("(%s, %s) entry %s exit %s: %v", s, l, eIv, xIv, err),
-						})
-						continue
+					err := errs[i*len(exits)+j]
+					if s == "" || l == "" {
+						err = a.Validate()
 					}
-					pending = append(pending, a)
+					if err != nil && skips {
+						rep.Skips = append(rep.Skips, Skip{Rule: r.Name, Reason: fmt.Sprintf("(%s, %s) entry %s exit %s: %v", s, l, eIv, xIv, err)})
+					}
+					if err == nil {
+						pending = append(pending, a)
+					}
 				}
 			}
 		}
@@ -278,23 +282,21 @@ func (e *Engine) evaluateLocked(r Rule) (Report, []authz.Authorization, error) {
 	return rep, pending, nil
 }
 
-// RevokeBase revokes the base authorization with the given ID and every
-// authorization derived from it, then re-derives the rules so dormant
-// rules drop their output. It returns the number of authorizations
-// removed (base plus derived).
+// RevokeBase revokes the authorization with the given ID and the output of
+// every registered rule whose base it is. It does not re-derive: those
+// rules stay registered, dormant, deriving nothing. It returns the number
+// of authorizations removed (base plus derived).
 func (e *Engine) RevokeBase(id authz.ID) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.store.Revoke(id); err != nil {
 		return 0, err
 	}
-	removed := 1 + e.store.RevokeIf(func(a authz.Authorization) bool {
-		return a.BaseID == id && a.IsDerived()
-	})
+	removed := 1
+	for _, name := range e.order {
+		if e.rules[name].Base == id {
+			removed += e.store.RevokeDerived(name)
+		}
+	}
 	return removed, nil
-}
-
-// derivedBy matches the authorizations rule derived.
-func derivedBy(rule string) func(authz.Authorization) bool {
-	return func(a authz.Authorization) bool { return a.DerivedBy == rule }
 }

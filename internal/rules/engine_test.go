@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -384,5 +385,44 @@ func TestRuleString(t *testing.T) {
 		if !strings.Contains(s, frag) {
 			t.Errorf("rule string %q missing %q", s, frag)
 		}
+	}
+}
+
+// TestSkipReasonsExact pins the skip report byte for byte: the reasons
+// of a rule whose location operator yields an empty location next to a
+// real one and whose exit operator yields one pairing Validate rejects,
+// from AddRule, Derive and DeriveAll alike.
+func TestSkipReasonsExact(t *testing.T) {
+	eng, _, _, a1 := fixture(t, false)
+	rep, err := eng.AddRule(Rule{
+		Name: "mixed", ValidFrom: 1, Base: a1.ID,
+		Ops: Ops{
+			Exit: interval.TemporalFunc{Name: "SPLIT", Fn: func(interval.Interval, interval.Time) interval.Set {
+				return interval.NewSet(iv("[5, 10]"), iv("[30, 60]"))
+			}},
+			Location: LocationFunc{Name: "WITH_EMPTY", Fn: func(graph.ID, *graph.Graph) ([]graph.ID, error) {
+				return []graph.ID{graph.CAIS, ""}, nil
+			}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Skip{
+		{"mixed", "(Alice, ) entry [5, 20] exit [5, 10]: authz: empty location"},
+		{"mixed", "(Alice, ) entry [5, 20] exit [30, 60]: authz: empty location"},
+		{"mixed", "(Alice, CAIS) entry [5, 20] exit [5, 10]: authz: exit end 10 before entry end 20 (need toe >= tie)"},
+	}
+	if !slices.Equal(rep.Skips, want) {
+		t.Errorf("AddRule skips =\n %q\nwant\n %q", rep.Skips, want)
+	}
+	if len(rep.Derived) != 1 || rep.Derived[0].Exit != iv("[30, 60]") {
+		t.Errorf("derived = %v, want the one (Alice, CAIS) exit [30, 60]", rep.Derived)
+	}
+	if rep, _ := eng.Derive("mixed"); !slices.Equal(rep.Skips, want) {
+		t.Errorf("Derive skips = %q", rep.Skips)
+	}
+	if reps, _ := eng.DeriveAll(); len(reps) != 1 || !slices.Equal(reps[0].Skips, want) {
+		t.Errorf("DeriveAll reports = %+v", reps)
 	}
 }

@@ -10,7 +10,6 @@ package rules
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/authz"
 	"repro/internal/graph"
@@ -372,8 +371,4 @@ func (r Rule) Validate() error {
 // String renders the rule in the paper's notation ⟨tr : (a, OP)⟩.
 func (r Rule) String() string {
 	return fmt.Sprintf("⟨%s: a%d, %s⟩", r.ValidFrom, r.Base, r.Ops)
-}
-
-func sortSubjects(ids []profile.SubjectID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }
